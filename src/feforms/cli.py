@@ -15,13 +15,11 @@ import sys
 from feforms import complexes, dofs, mesh_assembly, spaces, tables
 from feforms.complexes import certificates_to_jsonl, summary_tsv
 from feforms.forms import form_from_string
-from feforms.spaces import make_spec
-
-FAMILIES = ("P", "Pminus", "Qminus", "S")
+from feforms.spaces import PUBLIC_FAMILIES, make_spec
 
 
 def _add_spec_args(p, need_k=True, need_r=True):
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=PUBLIC_FAMILIES)
     p.add_argument("--n", required=True, type=int)
     if need_r:
         p.add_argument("--r", required=True, type=int)
@@ -29,9 +27,10 @@ def _add_spec_args(p, need_k=True, need_r=True):
         p.add_argument("--k", required=True, type=int)
 
 
-def _add_out_args(p):
+def _add_out_args(p, with_format=False):
     p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    if with_format:
+        p.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,27 +52,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_args(p)
 
     p = sub.add_parser("complex", help="subcomplex and exactness certificates")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=PUBLIC_FAMILIES)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--r", required=True, type=int)
-    _add_out_args(p)
+    _add_out_args(p, with_format=True)
 
     p = sub.add_parser("homotopy", help="contraction/derivative identity")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--trials", type=int, default=0)
-    _add_out_args(p)
+    _add_out_args(p, with_format=True)
 
     p = sub.add_parser("table1", help="reproduce the box-family dimension tables")
-    _add_out_args(p)
+    _add_out_args(p, with_format=True)
 
     p = sub.add_parser("dof-counts", help="per-face-dimension DOF counts")
     _add_spec_args(p)
     _add_out_args(p)
 
     p = sub.add_parser("project", help="project a form onto an assembled space")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=PUBLIC_FAMILIES)
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--mesh", required=True, help="mesh JSON path")
@@ -84,18 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full verification suite")
     p.add_argument("--out", help="directory for certificate reports",
                    default="reports")
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
     return parser
 
 
 def _emit(doc, args) -> None:
-    if getattr(args, "format", "json") == "tsv" and isinstance(doc, list):
-        lines = []
-        for entry in doc:
-            lines.append("\t".join(str(v) for v in entry.values()))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -26,13 +26,13 @@ from feforms.forms import (
 )
 from feforms.polynomial import Polynomial, sdeg_exponents
 from feforms.spaces import (
-    SpaceBasis,
     SpanChecker,
+    basis_for,
     basis_H,
     basis_P,
     basis_Pminus,
-    basis_Qminus,
     basis_S,
+    make_spec,
     span_rank,
     spans_equal,
 )
@@ -119,18 +119,6 @@ def chain_degrees(family: str, r: int, n: int) -> list[int | None]:
     return out
 
 
-def _level_basis(family: str, deg: int, k: int, n: int) -> SpaceBasis:
-    if family == "P":
-        return basis_P(deg, k, n)
-    if family == "Pminus":
-        return basis_Pminus(deg, k, n)
-    if family == "Qminus":
-        return basis_Qminus(deg, k, n)
-    if family == "S":
-        return basis_S(deg, k, n)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def check_complex(family, n: int | None = None, r: int | None = None) -> Certificate:
     """The derivative maps each level's span into the next level's span.
 
@@ -144,8 +132,8 @@ def check_complex(family, n: int | None = None, r: int | None = None) -> Certifi
     for k in range(n):
         if degrees[k] is None or degrees[k + 1] is None:
             continue
-        src = _level_basis(family, degrees[k], k, n)
-        dst = _level_basis(family, degrees[k + 1], k + 1, n)
+        src = basis_for(make_spec(family, n, degrees[k], k))
+        dst = basis_for(make_spec(family, n, degrees[k + 1], k + 1))
         entry = {"k": k, "src_dim": src.dim, "dst_dim": dst.dim,
                  "contained": True}
         for f in src.forms:
@@ -221,6 +209,8 @@ def check_homotopy(n: int, r: int, k: int, trials: int = 0, seed: int = 0) -> Ce
     Verified on the full monomial basis of the homogeneous space, plus
     optional extra random combinations.
     """
+    if r < 0 or not 0 <= k <= n:
+        raise ValueError(f"need r >= 0 and 0 <= k <= n, got n={n}, r={r}, k={k}")
     basis = basis_H(r, k, n)
     factor = Fraction(r + k)
     failures = []
@@ -386,7 +376,7 @@ def check_origin_independence(family: str, n: int, r: int, k: int,
     from feforms.polynomial import rational_to_string
     if shift is None:
         shift = tuple(Fraction(i + 1, 3) for i in range(n))
-    basis = _level_basis(family, r, k, n)
+    basis = basis_for(make_spec(family, n, r, k))
     moved = [translate(f, shift) for f in basis.forms]
     same = spans_equal(basis.forms, moved)
     return Certificate(

@@ -23,15 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from feforms import linalg, spaces
 from feforms.combinatorics import enumerate_sigma
 from feforms.forms import (
     AffineEmbedding,
     PolyForm,
+    box_face_chart,
+    face_integrator,
     integrate_std_simplex,
-    integrate_unit_box,
     pullback,
     wedge,
 )
@@ -81,21 +82,8 @@ def reference_faces(kind: str, n: int) -> tuple[FaceRef, ...]:
     elif kind == "box":
         for d in range(n + 1):
             for axes in combinations(range(1, n + 1), d):
-                fixed = [i for i in range(1, n + 1) if i not in axes]
                 for bits in product((0, 1), repeat=n - d):
-                    values = dict(zip(fixed, bits))
-                    rows = []
-                    offset = []
-                    for axis in range(1, n + 1):
-                        if axis in axes:
-                            pos = axes.index(axis)
-                            rows.append(tuple(Fraction(int(j == pos))
-                                              for j in range(d)))
-                            offset.append(Fraction(0))
-                        else:
-                            rows.append((Fraction(0),) * d)
-                            offset.append(Fraction(values[axis]))
-                    emb = AffineEmbedding(tuple(rows), tuple(offset))
+                    emb = box_face_chart(n, axes, bits)
                     out.append(FaceRef(kind, n, d, len(out), (axes, bits), emb))
     else:
         raise ValueError(f"unknown element kind {kind!r}")
@@ -166,37 +154,22 @@ def apply(phi: DofFunctional, u: PolyForm) -> Fraction:
     """Exact value of the functional: trace to the face, wedge, integrate."""
     face = phi.face
     tr = pullback(u, face.embedding)
-    w = wedge(tr, phi.weight)
-    return _integrate_face(w, face)
-
-
-def _integrate_face(w: PolyForm, face: FaceRef) -> Fraction:
-    if face.dim == 0:
-        return w.component(()).evaluate(())
-    if face.kind == "simplex":
-        return integrate_std_simplex(w)
-    return integrate_unit_box(w)
+    return face_integrator(face.kind)(wedge(tr, phi.weight))
 
 
 def dof_matrix(forms, dofset: DofSet) -> list[list[Fraction]]:
     """M[i][j] = functional i applied to form j.
 
-    Traces are computed once per face and reused across the face's weights.
+    Traces are computed once per run of functionals on the same face and
+    reused across that face's weights.
     """
     forms = list(getattr(forms, "forms", forms))
     rows: list[list[Fraction]] = []
-    by_face: dict[int, list[DofFunctional]] = {}
-    order = []
-    for phi in dofset.functionals:
-        if phi.face.index not in by_face:
-            by_face[phi.face.index] = []
-            order.append(phi.face)
-        by_face[phi.face.index].append(phi)
-    for face in order:
+    for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
+        integrate = face_integrator(face.kind)
         traces = [pullback(f, face.embedding) for f in forms]
-        for phi in by_face[face.index]:
-            rows.append([_integrate_face(wedge(tr, phi.weight), face)
-                         for tr in traces])
+        for phi in group:
+            rows.append([integrate(wedge(tr, phi.weight)) for tr in traces])
     return rows
 
 

@@ -407,19 +407,6 @@ def _std_simplex_monomial_integral(alpha) -> Fraction:
     return Fraction(num, factorial(sum(alpha) + d))
 
 
-def barycentric_monomial_integral(exponents) -> Fraction:
-    """Integral over the standard d-simplex of prod_i lambda_i^(a_i).
-
-    `exponents` lists the d+1 barycentric exponents (a_0, ..., a_d); the
-    closed form is d! vol (prod a_i!) / (|a| + d)! with vol = 1/d!.
-    """
-    d = len(exponents) - 1
-    num = 1
-    for e in exponents:
-        num *= factorial(e)
-    return Fraction(num, factorial(sum(exponents) + d))
-
-
 def integrate_std_simplex(u: PolyForm) -> Fraction:
     """Integral of a top-degree form over the standard simplex in R^d."""
     d = u.n
@@ -476,6 +463,15 @@ def integrate_unit_box(u: PolyForm) -> Fraction:
     return integrate_box(u, [(0, 1)] * u.n)
 
 
+def face_integrator(kind: str):
+    """Integrator of top forms over the reference face of an element kind.
+
+    Both integrators also evaluate 0-forms on R^0, so vertices need no
+    special case.
+    """
+    return integrate_std_simplex if kind == "simplex" else integrate_unit_box
+
+
 def std_simplex_vertices(d: int):
     """Vertices (0, e_1, ..., e_d) of the standard simplex in Q^d."""
     zero = tuple(Fraction(0) for _ in range(d))
@@ -504,21 +500,32 @@ def unit_box_facets(n: int):
     """(sign, chart) per facet of the unit box, outward-consistent."""
     out = []
     for i in range(1, n + 1):
+        axes = tuple(axis for axis in range(1, n + 1) if axis != i)
         for side in (0, 1):
-            rows = []
-            offset = []
-            for axis in range(1, n + 1):
-                if axis == i:
-                    rows.append(tuple(Fraction(0) for _ in range(n - 1)))
-                    offset.append(Fraction(side))
-                else:
-                    pos = axis - 1 if axis < i else axis - 2
-                    rows.append(tuple(Fraction(int(j == pos))
-                                      for j in range(n - 1)))
-                    offset.append(Fraction(0))
             sign = (1 if side else -1) * (-1 if (i - 1) % 2 else 1)
-            out.append((sign, AffineEmbedding(tuple(rows), tuple(offset))))
+            out.append((sign, box_face_chart(n, axes, (side,))))
     return out
+
+
+def box_face_chart(n: int, axes, bits) -> AffineEmbedding:
+    """Chart of the unit d-box onto a face of the unit n-box.
+
+    `axes` lists the d free axes (1-based, increasing); they keep their
+    order as face coordinates.  The other axes, in increasing order, are
+    fixed at the 0/1 values in `bits`.
+    """
+    d = len(axes)
+    fixed = iter(bits)
+    rows, offset = [], []
+    for axis in range(1, n + 1):
+        if axis in axes:
+            pos = axes.index(axis)
+            rows.append(tuple(Fraction(int(j == pos)) for j in range(d)))
+            offset.append(Fraction(0))
+        else:
+            rows.append((Fraction(0),) * d)
+            offset.append(Fraction(next(fixed)))
+    return AffineEmbedding(tuple(rows), tuple(offset))
 
 
 # -- canonical text rendering ----------------------------------------------
@@ -552,11 +559,11 @@ def form_from_string(text: str, n: int, k: int) -> PolyForm:
             if tok.startswith("dx"):
                 sigma = tuple(int(p[2:]) for p in tok.split("^"))
             elif tok.startswith("x"):
-                if "^" in tok:
-                    var, exp = tok.split("^")
-                    alpha[int(var[1:]) - 1] = int(exp)
-                else:
-                    alpha[int(tok[1:]) - 1] = 1
+                var, caret, exp = tok.partition("^")
+                i = int(var[1:])
+                if not 1 <= i <= n:
+                    raise ValueError(f"variable {var!r} is outside x1..x{n}")
+                alpha[i - 1] = int(exp) if caret else 1
             else:
                 raise ValueError(f"cannot parse token {tok!r}")
         if len(sigma) != k:

@@ -28,12 +28,12 @@ from feforms import linalg, spaces
 from feforms.forms import (
     AffineEmbedding,
     PolyForm,
+    box_face_chart,
     exterior_derivative,
+    face_integrator,
     form_to_string,
     pullback,
     wedge,
-    integrate_std_simplex,
-    integrate_unit_box,
 )
 from feforms.dofs import reference_vertex, weight_basis
 from feforms.polynomial import barycentric, rational_to_string
@@ -186,11 +186,8 @@ class Mesh:
                 for ei, elem in enumerate(self.elements):
                     for d in range(self.n + 1):
                         for axes in combinations(range(1, self.n + 1), d):
-                            fixed = [i for i in range(1, self.n + 1)
-                                     if i not in axes]
                             for bits in product((0, 1), repeat=self.n - d):
-                                ids, psi = self._box_face(elem, axes,
-                                                          dict(zip(fixed, bits)))
+                                ids, psi = self._box_face(elem, axes, bits)
                                 table.setdefault(ids, []).append((ei, psi))
             faces = []
             for ids in sorted(table, key=lambda t: (len(t), t)):
@@ -207,28 +204,11 @@ class Mesh:
         points = [reference_vertex(self.n, elem.index(g)) for g in subset]
         return AffineEmbedding.from_simplex(points)
 
-    def _box_face(self, elem, axes, fixed_bits) -> tuple[tuple, AffineEmbedding]:
-        n = self.n
-        ids = []
-        for pos, vid in enumerate(elem):
-            ok = True
-            for ax, bit in fixed_bits.items():
-                if (pos >> (ax - 1)) & 1 != bit:
-                    ok = False
-                    break
-            if ok:
-                ids.append(vid)
-        d = len(axes)
-        rows, offset = [], []
-        for axis in range(1, n + 1):
-            if axis in axes:
-                pos = axes.index(axis)
-                rows.append(tuple(Fraction(int(j == pos)) for j in range(d)))
-                offset.append(Fraction(0))
-            else:
-                rows.append((Fraction(0),) * d)
-                offset.append(Fraction(fixed_bits[axis]))
-        return tuple(sorted(ids)), AffineEmbedding(tuple(rows), tuple(offset))
+    def _box_face(self, elem, axes, bits) -> tuple[tuple, AffineEmbedding]:
+        fixed = [ax for ax in range(1, self.n + 1) if ax not in axes]
+        ids = [vid for pos, vid in enumerate(elem)
+               if all((pos >> (ax - 1)) & 1 == bit for ax, bit in zip(fixed, bits))]
+        return tuple(sorted(ids)), box_face_chart(self.n, axes, bits)
 
     # -- serialization ------------------------------------------------------
 
@@ -344,15 +324,14 @@ class GlobalSpace:
     """A finite element space assembled from per-face degrees of freedom."""
 
     def __init__(self, mesh: Mesh, family: str, r: int, k: int):
-        if family in spaces.SIMPLEX_FAMILIES and mesh.kind != "simplicial":
-            raise MeshError(f"family {family} needs a simplicial mesh")
-        if family in spaces.BOX_FAMILIES and mesh.kind != "cubical":
-            raise MeshError(f"family {family} needs a cubical mesh")
+        self.spec = spaces.make_spec(family, mesh.n, r, k)
+        if self.spec.element != mesh.element_kind:
+            raise MeshError(f"family {family} lives on {self.spec.element} "
+                            f"elements; the mesh is {mesh.kind}")
         self.mesh = mesh
         self.family = family
         self.r = r
         self.k = k
-        self.spec = spaces.make_spec(family, mesh.n, r, k)
         self.basis = spaces.basis_for(self.spec)
         self.dofs: list[GlobalDof] = []
         element_dofs: list[list] = [[] for _ in mesh.elements]
@@ -364,62 +343,62 @@ class GlobalSpace:
                 for ei, psi in face.adjacent:
                     element_dofs[ei].append((dof, psi))
         self.element_dofs = [tuple(lst) for lst in element_dofs]
+        for ei, local in enumerate(self.element_dofs):
+            if len(local) != self.basis.dim:
+                raise MeshError(
+                    f"{family} r={r} k={k} is not unisolvent: element {ei} carries "
+                    f"{len(local)} DOFs for a space of dimension {self.basis.dim}")
         self._lu: dict[int, linalg.LUFactor] = {}
+        self._traces: dict[tuple, list] = {}
 
     @property
     def dimension(self) -> int:
         return len(self.dofs)
 
-    def face_dof_count(self) -> dict:
-        counts: dict[int, int] = {}
-        for dof in self.dofs:
-            counts[dof.face.dim] = counts.get(dof.face.dim, 0) + 1
-        return counts
-
     # -- functional evaluation ------------------------------------------
-
-    def _local_value(self, piece: PolyForm, psi: AffineEmbedding,
-                     weight: PolyForm, dim: int) -> Fraction:
-        w = wedge(pullback(piece, psi), weight)
-        if dim == 0:
-            return w.component(()).evaluate(())
-        if self.mesh.element_kind == "simplex":
-            return integrate_std_simplex(w)
-        return integrate_unit_box(w)
 
     def dof_values(self, pieces: dict) -> list[Fraction]:
         """Global DOF values of a piecewise form, taken from the first
         adjacent element of each face."""
+        integrate = face_integrator(self.mesh.element_kind)
         out = []
         for dof in self.dofs:
             ei, psi = dof.face.adjacent[0]
-            out.append(self._local_value(pieces[ei], psi, dof.weight,
-                                         dof.face.dim))
+            out.append(integrate(wedge(pullback(pieces[ei], psi), dof.weight)))
         return out
 
-    def _integrate_face(self, w: PolyForm, dim: int) -> Fraction:
-        if dim == 0:
-            return w.component(()).evaluate(())
-        if self.mesh.element_kind == "simplex":
-            return integrate_std_simplex(w)
-        return integrate_unit_box(w)
+    def _dof_row(self, dof: GlobalDof, psi: AffineEmbedding) -> list[Fraction]:
+        """The DOF applied, through the face chart psi, to every basis form.
+
+        Basis traces are cached by chart value, shared by the element
+        matrices and the matching constraints of
+        `assembled_dimension_by_rank`; elements with the same local face
+        orientation share one entry.
+        """
+        key = (psi.matrix, psi.offset)
+        traces = self._traces.get(key)
+        if traces is None:
+            traces = [pullback(b, psi) for b in self.basis.forms]
+            self._traces[key] = traces
+        integrate = face_integrator(self.mesh.element_kind)
+        return [integrate(wedge(tr, dof.weight)) for tr in traces]
 
     def _element_matrix(self, ei: int) -> linalg.LUFactor:
         got = self._lu.get(ei)
         if got is None:
-            rows = []
-            trace_cache: dict[int, list] = {}
-            for dof, psi in self.element_dofs[ei]:
-                traces = trace_cache.get(id(psi))
-                if traces is None:
-                    traces = [pullback(b, psi) for b in self.basis.forms]
-                    trace_cache[id(psi)] = traces
-                rows.append([self._integrate_face(wedge(tr, dof.weight),
-                                                  dof.face.dim)
-                             for tr in traces])
-            got = linalg.LUFactor(rows)
+            got = linalg.LUFactor([self._dof_row(dof, psi)
+                                   for dof, psi in self.element_dofs[ei]])
             self._lu[ei] = got
         return got
+
+    def _solve_piece(self, ei: int, rhs) -> PolyForm:
+        """The basis combination on element ei with local DOF values rhs."""
+        coeffs = self._element_matrix(ei).solve(rhs)
+        piece = PolyForm.zero(self.mesh.n, self.k)
+        for c, b in zip(coeffs, self.basis.forms):
+            if c:
+                piece = piece + c * b
+        return piece
 
     def as_pieces(self, u) -> dict:
         """Normalize input to reference-coordinate pieces per element."""
@@ -432,30 +411,14 @@ class GlobalSpace:
         """DOF interpolation onto the space; exact on per-element polynomials."""
         pieces = self.as_pieces(u)
         values = self.dof_values(pieces)
-        out = {}
-        for ei in range(len(self.mesh.elements)):
-            rhs = [values[dof.index] for dof, _ in self.element_dofs[ei]]
-            coeffs = self._element_matrix(ei).solve(rhs)
-            piece = PolyForm.zero(self.mesh.n, self.k)
-            for c, b in zip(coeffs, self.basis.forms):
-                if c:
-                    piece = piece + c * b
-            out[ei] = piece
-        return out
+        return {ei: self._solve_piece(ei, [values[dof.index] for dof, _ in local])
+                for ei, local in enumerate(self.element_dofs)}
 
     def global_basis_function(self, index: int) -> dict:
         """The piecewise form with DOF `index` equal to one, others zero."""
-        out = {}
-        for ei in range(len(self.mesh.elements)):
-            rhs = [Fraction(int(dof.index == index))
-                   for dof, _ in self.element_dofs[ei]]
-            coeffs = self._element_matrix(ei).solve(rhs)
-            piece = PolyForm.zero(self.mesh.n, self.k)
-            for c, b in zip(coeffs, self.basis.forms):
-                if c:
-                    piece = piece + c * b
-            out[ei] = piece
-        return out
+        return {ei: self._solve_piece(ei, [Fraction(int(dof.index == index))
+                                           for dof, _ in local])
+                for ei, local in enumerate(self.element_dofs)}
 
 
 def assemble(mesh: Mesh, family: str, r: int, k: int) -> GlobalSpace:
@@ -481,25 +444,14 @@ def assembled_dimension_by_rank(space: GlobalSpace) -> int:
     nel = len(space.mesh.elements)
     dimv = space.basis.dim
     ech = linalg.Echelon()
-    trace_cache: dict[int, list] = {}
-
-    def traces(psi):
-        got = trace_cache.get(id(psi))
-        if got is None:
-            got = [pullback(b, psi) for b in space.basis.forms]
-            trace_cache[id(psi)] = got
-        return got
-
     for dof in space.dofs:
         adj = dof.face.adjacent
         if len(adj) < 2:
             continue
         e0, psi0 = adj[0]
-        base = [space._integrate_face(wedge(tr, dof.weight), dof.face.dim)
-                for tr in traces(psi0)]
+        base = space._dof_row(dof, psi0)
         for ei, psi in adj[1:]:
-            other = [space._integrate_face(wedge(tr, dof.weight), dof.face.dim)
-                     for tr in traces(psi)]
+            other = space._dof_row(dof, psi)
             row = {}
             for j in range(dimv):
                 if base[j]:

@@ -15,7 +15,7 @@ Hrl (homogeneous forms of linear degree >= l) and J (sums of contractions
 of the Hrl pieces).  A basis of a sum of spaces is produced by feeding the
 generators in a fixed order to an exact echelon and keeping those that
 enlarge the span; all bases are therefore rank-certified at construction.
-Construction is memoized per spec and safe for concurrent readers.
+Construction is memoized per spec.
 """
 
 from __future__ import annotations
@@ -166,10 +166,7 @@ def monomial_forms(n: int, k: int, max_degree: int) -> list[PolyForm]:
 
 @lru_cache(maxsize=None)
 def basis_P(r: int, k: int, n: int) -> SpaceBasis:
-    spec = SpaceSpec("P", n, r, k, "simplex")
-    basis = SpaceBasis(spec, monomial_forms(n, k, r))
-    basis.checker()  # distinct monomials; certify anyway
-    return basis
+    return SpaceBasis(SpaceSpec("P", n, r, k, "simplex"), monomial_forms(n, k, r))
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +246,7 @@ def basis_Qminus(r: int, k: int, n: int) -> SpaceBasis:
         caps = [r - 1 if (i + 1) in inside else r for i in range(n)]
         for alpha in product(*(range(c + 1) for c in caps)):
             forms.append(PolyForm.monomial(n, alpha, sigma))
-    basis = SpaceBasis(spec, forms)
-    basis.checker()
-    return basis
+    return SpaceBasis(spec, forms)
 
 
 def basis_for(spec: SpaceSpec) -> SpaceBasis:

@@ -4,17 +4,9 @@ Ranges: simplicial families n <= 3 (dimension spot checks at n = 4) and
 r <= 4; box families n <= 3, r <= 3; dimension tables n <= 4, r <= 6;
 homogeneous-form identities n <= 4, r <= 5; commuting projections and
 assembly identities on the bundled sample meshes.
-
-Certificates for distinct parameter tuples are independent; FEEC_MAX_THREADS
-caps the worker pool (0 or unset picks a default).  Results are emitted in
-task order, so reports are byte-identical across runs regardless of the
-pool size.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from feforms import complexes, dofs, mesh_assembly, spaces, tables
 from feforms.complexes import Certificate
@@ -52,33 +44,28 @@ def _dims_certificates() -> list[Certificate]:
     return certs
 
 
+def _unisolvence_certificate(spec) -> Certificate:
+    report = dofs.unisolvence_check(spec)
+    ok = report["count_ok"] and report["determinant_nonzero"]
+    return Certificate("unisolvence", spec.as_dict(),
+                       "pass" if ok else "fail", report)
+
+
 def _unisolvence_certificates() -> list[Certificate]:
-    jobs = []
+    specs = []
     for family, rmax in (("P", 4), ("Pminus", 4), ("Qminus", 3), ("S", 3)):
         for n in range(1, 4):
             for r in range(1, rmax + 1):
                 for k in range(n + 1):
-                    jobs.append(make_spec(family, n, r, k))
+                    specs.append(make_spec(family, n, r, k))
     # one spot check beyond the standard range
-    jobs.append(make_spec("Pminus", 4, 1, 1))
-
-    def run(spec):
-        report = dofs.unisolvence_check(spec)
-        ok = report["count_ok"] and report["determinant_nonzero"]
-        return Certificate("unisolvence", spec.as_dict(),
-                           "pass" if ok else "fail", report)
-
-    return _parallel(run, jobs)
+    specs.append(make_spec("Pminus", 4, 1, 1))
+    return [_unisolvence_certificate(spec) for spec in specs]
 
 
 def _homotopy_certificates() -> list[Certificate]:
-    jobs = [(n, r, k) for n in range(1, 5) for r in range(0, 6)
-            for k in range(n + 1)]
-
-    def run(args):
-        return complexes.check_homotopy(*args)
-
-    return _parallel(run, jobs)
+    return [complexes.check_homotopy(n, r, k) for n in range(1, 5)
+            for r in range(0, 6) for k in range(n + 1)]
 
 
 def _exactness_certificates() -> list[Certificate]:
@@ -200,16 +187,6 @@ def _assembly_certificates() -> list[Certificate]:
                 {"global_dim": space.dimension, "face_sum": face_sum,
                  "constraint_rank_dim": by_rank}))
     return certs
-
-
-def _parallel(fn, jobs) -> list:
-    cap = int(os.environ.get("FEEC_MAX_THREADS", "0") or "0")
-    if cap == 0:
-        cap = min(8, os.cpu_count() or 1)
-    if cap <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def full_suite() -> list[Certificate]:

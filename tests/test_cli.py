@@ -1,8 +1,19 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from feforms.cli import run
+from feforms.cli import main, run
+
+SQUARE = str(Path(__file__).parent.parent / "meshes" / "two_triangle_square.json")
+
+
+def main_exit_code(monkeypatch, argv) -> int:
+    monkeypatch.setattr(sys, "argv", ["feforms"] + argv)
+    with pytest.raises(SystemExit) as err:
+        main()
+    return err.value.code
 
 
 def test_dims_verb(capsys):
@@ -72,6 +83,36 @@ def test_project_unreadable_mesh(tmp_path, capsys):
     assert run(["project", "--family", "P", "--r", "1", "--k", "0",
                 "--mesh", str(tmp_path / "missing.json"),
                 "--form", "1/1 x1"]) == 2
+
+
+@pytest.mark.parametrize("form", ["1/1 x3", "1/1 x0"])
+def test_project_form_outside_mesh_dimension_exits_2(monkeypatch, capsys, form):
+    assert main_exit_code(monkeypatch, [
+        "project", "--family", "P", "--r", "1", "--k", "0",
+        "--mesh", SQUARE, "--form", form]) == 2
+    assert "outside x1..x2" in capsys.readouterr().err
+
+
+def test_project_spec_that_is_not_unisolvent_exits_2(monkeypatch, capsys):
+    assert main_exit_code(monkeypatch, [
+        "project", "--family", "P", "--r", "0", "--k", "0",
+        "--mesh", SQUARE, "--form", "1/1 x1"]) == 2
+    assert "not unisolvent" in capsys.readouterr().err
+
+
+def test_homotopy_out_of_range_exits_2(monkeypatch):
+    assert main_exit_code(monkeypatch, ["homotopy", "--n", "2", "--r", "1",
+                                        "--k", "5"]) == 2
+
+
+def test_format_only_where_honoured(capsys):
+    for verb in (["describe", "--family", "P", "--n", "2", "--r", "1", "--k", "0"],
+                 ["verify-all"]):
+        with pytest.raises(SystemExit) as err:
+            run(verb + ["--format", "tsv"])
+        assert err.value.code == 2
+    assert run(["homotopy", "--n", "2", "--r", "1", "--k", "1",
+                "--format", "tsv"]) == 0
 
 
 def test_usage_error_exits_2():

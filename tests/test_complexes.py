@@ -86,6 +86,31 @@ def test_homotopy_with_trials():
     assert cert.passed
 
 
+@pytest.mark.parametrize("n, r, k", [(2, 1, 5), (2, 1, -1), (2, -1, 1)])
+def test_homotopy_rejects_out_of_range(n, r, k):
+    with pytest.raises(ValueError):
+        check_homotopy(n, r, k)
+
+
+def test_complex_certificate_fails_on_wrong_degree_target(monkeypatch):
+    from feforms import complexes
+    from feforms.spaces import make_spec
+
+    assert check_complex("Pminus", 2, 2).passed
+    basis_for = complexes.basis_for
+
+    def lower_degree_1_forms(spec):
+        if spec.k == 1:
+            spec = make_spec(spec.family, spec.n, spec.r - 1, spec.k)
+        return basis_for(spec)
+
+    monkeypatch.setattr(complexes, "basis_for", lower_degree_1_forms)
+    cert = check_complex("Pminus", 2, 2)
+    assert cert.verdict == "fail"
+    level0 = cert.witness["levels"][0]
+    assert not level0["contained"] and "counterexample" in level0
+
+
 def test_direct_sum():
     cert = check_direct_sum(2, 1, 1)
     assert cert.passed

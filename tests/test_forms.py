@@ -374,6 +374,15 @@ def test_form_strings_roundtrip():
     assert form_from_string("0", 2, 1).is_zero
 
 
+def test_form_from_string_rejects_indices_outside_dimension():
+    # x0 must not wrap around to x2, nor x3 index past the end
+    for text, k in (("1/1 x0", 0), ("1/1 x3", 0), ("1/1 x3^2", 0),
+                    ("1/1 x1^", 0), ("1/1 dx0", 1), ("1/1 dx3", 1)):
+        with pytest.raises(ValueError):
+            form_from_string(text, 2, k)
+    assert form_from_string("1/1 x2^2", 2, 0) == PolyForm.monomial(2, (0, 2), ())
+
+
 def test_form_string_format():
     u = PolyForm.monomial(2, (2, 0), (1,), Fraction(3, 2)) + \
         PolyForm.monomial(2, (0, 1), (2,), -1)

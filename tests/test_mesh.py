@@ -109,6 +109,12 @@ def test_whitney_edge_count_three_meshes():
         assert space.dimension == edges
 
 
+def test_assemble_refuses_spec_that_is_not_unisolvent():
+    # P_0 has dimension 1 per element but no DOFs
+    with pytest.raises(ma.MeshError, match="not unisolvent"):
+        ma.assemble(ma.two_triangle_square(), "P", 0, 0)
+
+
 def test_family_mesh_kind_mismatch():
     with pytest.raises(ma.MeshError):
         ma.assemble(ma.two_triangle_square(), "Qminus", 1, 0)

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from feforms import spaces, verify
+from feforms import dofs, mesh_assembly, spaces, verify
 
 
 def test_golden_describe():
@@ -11,12 +11,35 @@ def test_golden_describe():
     assert got == want
 
 
-def test_parallel_preserves_order(monkeypatch):
-    monkeypatch.setenv("FEEC_MAX_THREADS", "4")
-    out = verify._parallel(lambda x: x * x, list(range(20)))
-    assert out == [x * x for x in range(20)]
-    monkeypatch.setenv("FEEC_MAX_THREADS", "1")
-    assert verify._parallel(lambda x: -x, [3, 1]) == [-3, -1]
+def test_unisolvence_certificate_fails_on_duplicated_functional(monkeypatch):
+    spec = spaces.make_spec("Pminus", 2, 2, 1)
+    assert verify._unisolvence_certificate(spec).passed
+    functionals = dofs.dofs_for(spec).functionals
+    # the last functional is replaced by the first: same count, repeated row
+    broken = dofs.DofSet(spec, functionals[:-1] + functionals[:1])
+    monkeypatch.setattr(dofs, "dofs_for", lambda s: broken)
+    cert = verify._unisolvence_certificate(spec)
+    assert cert.verdict == "fail"
+    assert cert.witness["count_ok"] and not cert.witness["determinant_nonzero"]
+
+
+def test_assembly_certificate_fails_on_dropped_edge_weight(monkeypatch):
+    cases = (("two_triangle_square", (("Pminus", 2, 1),)),)
+    monkeypatch.setattr(verify, "ASSEMBLY_CASES", cases)
+    assert verify._assembly_certificates()[0].passed
+    weights = mesh_assembly.weight_basis
+
+    def drop_edge_weight(family, r, k, d, kind):
+        got = weights(family, r, k, d, kind)
+        # the last edge weight is dropped and the first repeated in its place
+        return got[:1] + got[:-1] if d == 1 else got
+
+    monkeypatch.setattr(mesh_assembly, "weight_basis", drop_edge_weight)
+    cert = verify._assembly_certificates()[0]
+    assert cert.verdict == "fail"
+    # the DOF counts still agree; the matching-constraint rank exposes it
+    assert cert.witness["global_dim"] == cert.witness["face_sum"]
+    assert cert.witness["constraint_rank_dim"] > cert.witness["global_dim"]
 
 
 def test_commuting_inputs_enumeration():
