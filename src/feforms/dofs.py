@@ -29,12 +29,10 @@ from feforms import linalg, spaces
 from feforms.combinatorics import enumerate_sigma
 from feforms.forms import (
     AffineEmbedding,
+    FaceMoments,
     PolyForm,
     box_face_chart,
-    face_integrator,
-    integrate_std_simplex,
     pullback,
-    wedge,
 )
 from feforms.spaces import SpaceSpec, monomial_forms
 
@@ -151,25 +149,26 @@ def dofs_lagrange(r: int, n: int) -> DofSet:
 
 
 def apply(phi: DofFunctional, u: PolyForm) -> Fraction:
-    """Exact value of the functional: trace to the face, wedge, integrate."""
+    """Exact value of the functional: the moment of the trace of u on the face."""
     face = phi.face
-    tr = pullback(u, face.embedding)
-    return face_integrator(face.kind)(wedge(tr, phi.weight))
+    return FaceMoments(face.kind)(pullback(u, face.embedding), phi.weight)
 
 
 def dof_matrix(forms, dofset: DofSet) -> list[list[Fraction]]:
     """M[i][j] = functional i applied to form j.
 
     Traces are computed once per run of functionals on the same face and
-    reused across that face's weights.
+    reused across that face's weights.  The moment tables live for this
+    call only; faces of one dimension share their weights, and so their
+    tables.
     """
     forms = list(getattr(forms, "forms", forms))
+    moments = FaceMoments(dofset.spec.element)
     rows: list[list[Fraction]] = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
-        integrate = face_integrator(face.kind)
         traces = [pullback(f, face.embedding) for f in forms]
         for phi in group:
-            rows.append([integrate(wedge(tr, phi.weight)) for tr in traces])
+            rows.append([moments(tr, phi.weight) for tr in traces])
     return rows
 
 
@@ -222,10 +221,11 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
             row = {j: td[key] for j, td in enumerate(trace_dicts) if key in td}
             if row:
                 ech.add_fractions(row)
+    moments = FaceMoments("simplex")
     for q in monomial_forms(n, n - k, r + k - n - 1):
         row = {}
         for j, f in enumerate(forms):
-            v = integrate_std_simplex(wedge(f, q))
+            v = moments(f, q)
             if v:
                 row[j] = v
         if row:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
-from feforms.combinatorics import check_sigma, enumerate_sigma, merge
+from feforms.combinatorics import check_sigma, enumerate_sigma, merge, merge_sign
 from feforms.polynomial import (
     DegenerateSimplexError,
     NEG_INF,
@@ -53,6 +53,17 @@ class PolyForm:
         self.n = n
         self.k = k
         self.components = clean
+
+    @classmethod
+    def _of(cls, n: int, k: int, components: dict) -> "PolyForm":
+        """Trusted constructor for calculus on validated forms: `components`
+        maps valid length-k alternators to Polynomials on R^n.  Zero
+        components are dropped."""
+        u = object.__new__(cls)
+        u.n = n
+        u.k = k
+        u.components = {s: a for s, a in components.items() if a.terms}
+        return u
 
     # -- constructors ---------------------------------------------------
 
@@ -122,10 +133,11 @@ class PolyForm:
         for s, a in other.components.items():
             b = comps.get(s)
             comps[s] = a if b is None else b + a
-        return PolyForm(self.n, self.k, comps)
+        return PolyForm._of(self.n, self.k, comps)
 
     def __neg__(self) -> "PolyForm":
-        return PolyForm(self.n, self.k, {s: -a for s, a in self.components.items()})
+        return PolyForm._of(self.n, self.k,
+                            {s: -a for s, a in self.components.items()})
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
@@ -134,8 +146,8 @@ class PolyForm:
         """Multiply by a scalar or a Polynomial, componentwise."""
         if isinstance(other, PolyForm):
             raise TypeError("use wedge() for products of forms")
-        return PolyForm(self.n, self.k,
-                        {s: a * other for s, a in self.components.items()})
+        return PolyForm._of(self.n, self.k,
+                            {s: a * other for s, a in self.components.items()})
 
     __rmul__ = __mul__
 
@@ -172,7 +184,7 @@ def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
                 term = -term
             old = comps.get(merged)
             comps[merged] = term if old is None else old + term
-    return PolyForm(a.n, k, comps)
+    return PolyForm._of(a.n, k, comps)
 
 
 def exterior_derivative(u: PolyForm) -> PolyForm:
@@ -191,7 +203,7 @@ def exterior_derivative(u: PolyForm) -> PolyForm:
             term = da if sign > 0 else -da
             old = comps.get(merged)
             comps[merged] = term if old is None else old + term
-    return PolyForm(n, u.k + 1, comps)
+    return PolyForm._of(n, u.k + 1, comps)
 
 
 def koszul(u: PolyForm) -> PolyForm:
@@ -212,7 +224,7 @@ def koszul(u: PolyForm) -> PolyForm:
             rest = sigma[:pos] + sigma[pos + 1:]
             old = comps.get(rest)
             comps[rest] = term if old is None else old + term
-    return PolyForm(u.n, u.k - 1, comps)
+    return PolyForm._of(u.n, u.k - 1, comps)
 
 
 def ldeg(alpha, sigma) -> int:
@@ -380,7 +392,7 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
                 term = a_t * det
                 old = comps.get(tau)
                 comps[tau] = term if old is None else old + term
-    return PolyForm(m, k, comps)
+    return PolyForm._of(m, k, comps)
 
 
 def trace_to_face(u: PolyForm, face: AffineEmbedding) -> PolyForm:
@@ -463,13 +475,74 @@ def integrate_unit_box(u: PolyForm) -> Fraction:
     return integrate_box(u, [(0, 1)] * u.n)
 
 
-def face_integrator(kind: str):
-    """Integrator of top forms over the reference face of an element kind.
+def _unit_box_monomial_integral(alpha) -> Fraction:
+    den = 1
+    for e in alpha:
+        den *= e + 1
+    return Fraction(1, den)
 
-    Both integrators also evaluate 0-forms on R^0, so vertices need no
-    special case.
+
+class FaceMoments:
+    """Exact face moments (tr, q) -> integral of tr ^ q over a reference face.
+
+    The face is the standard d-simplex or the unit d-box, chosen once by
+    `kind`; tr is a k-form and q a (d-k)-form on R^d.  Per weight q, a
+    table maps each trace monomial (tau, alpha) to the moment of
+    x^alpha dx^tau against q, filled on first use from the closed monomial
+    integral.  A moment is then a sparse dot product over the terms of tr:
+    no wedge product is formed.  On R^0 the empty monomial integrates to 1,
+    which is point evaluation, so vertices need no special case.
+
+    Tables grow with every monomial met and keep their weights alive, so
+    scope an instance to one computation, not to the process.
     """
-    return integrate_std_simplex if kind == "simplex" else integrate_unit_box
+
+    def __init__(self, kind: str):
+        if kind == "simplex":
+            self._integral = _std_simplex_monomial_integral
+        elif kind == "box":
+            self._integral = _unit_box_monomial_integral
+        else:
+            raise ValueError(f"unknown element kind {kind!r}")
+        self._tables: dict[int, tuple[PolyForm, dict]] = {}
+
+    def __call__(self, tr: PolyForm, q: PolyForm) -> Fraction:
+        d = tr.n
+        if q.n != d or tr.k + q.k != d:
+            raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
+                             f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
+        held = self._tables.get(id(q))
+        if held is None:
+            # the table holds its weight, so no other object can take its id
+            held = self._tables[id(q)] = (q, {})
+        table = held[1]
+        num, den = 0, 1
+        for tau, a in tr.components.items():
+            for alpha, c in a.terms.items():
+                m = table.get((tau, alpha))
+                if m is None:
+                    m = table[(tau, alpha)] = self._moment(q, tau, alpha)
+                if m:
+                    # num/den += c * m, kept over the least common
+                    # denominator and reduced once at the end
+                    pn = c.numerator * m.numerator
+                    pd = c.denominator * m.denominator
+                    lcm = den // gcd(den, pd) * pd
+                    num = num * (lcm // den) + pn * (lcm // pd)
+                    den = lcm
+        return Fraction(num, den)
+
+    def _moment(self, q: PolyForm, tau, alpha) -> Fraction:
+        """Integral of x^alpha dx^tau ^ q."""
+        total = Fraction(0)
+        for sigma, b in q.components.items():
+            sign = merge_sign(tau, sigma)
+            if not sign:
+                continue
+            for beta, c in b.terms.items():
+                total += sign * c * self._integral(
+                    tuple(x + y for x, y in zip(alpha, beta)))
+        return total
 
 
 def std_simplex_vertices(d: int):
@@ -554,18 +627,25 @@ def form_from_string(text: str, n: int, k: int) -> PolyForm:
         toks = term.split()
         coeff = rational_from_string(toks[0])
         alpha = [0] * n
-        sigma: tuple = ()
+        seen = set()
+        sigma = None
         for tok in toks[1:]:
             if tok.startswith("dx"):
+                if sigma is not None:
+                    raise ValueError(f"term {term!r} has more than one dx part")
                 sigma = tuple(int(p[2:]) for p in tok.split("^"))
             elif tok.startswith("x"):
                 var, caret, exp = tok.partition("^")
                 i = int(var[1:])
                 if not 1 <= i <= n:
                     raise ValueError(f"variable {var!r} is outside x1..x{n}")
+                if i in seen:
+                    raise ValueError(f"variable {var!r} repeats in term {term!r}")
+                seen.add(i)
                 alpha[i - 1] = int(exp) if caret else 1
             else:
                 raise ValueError(f"cannot parse token {tok!r}")
+        sigma = sigma or ()
         if len(sigma) != k:
             raise ValueError(f"term {term!r} has alternator length != {k}")
         total = total + PolyForm.monomial(n, tuple(alpha), sigma, coeff)

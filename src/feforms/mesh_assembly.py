@@ -22,18 +22,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from feforms import linalg, spaces
 from feforms.forms import (
     AffineEmbedding,
+    FaceMoments,
     PolyForm,
     box_face_chart,
     exterior_derivative,
-    face_integrator,
     form_to_string,
     pullback,
-    wedge,
 )
 from feforms.dofs import reference_vertex, weight_basis
 from feforms.polynomial import barycentric, rational_to_string
@@ -72,6 +71,7 @@ class Mesh:
         self._faces = None
         self._element_charts = None
         self._box_bounds = None
+        self._spaces: dict[tuple, GlobalSpace] = {}
         self._validate()
 
     @property
@@ -350,6 +350,7 @@ class GlobalSpace:
                     f"{len(local)} DOFs for a space of dimension {self.basis.dim}")
         self._lu: dict[int, linalg.LUFactor] = {}
         self._traces: dict[tuple, list] = {}
+        self._moments = FaceMoments(mesh.element_kind)
 
     @property
     def dimension(self) -> int:
@@ -360,11 +361,11 @@ class GlobalSpace:
     def dof_values(self, pieces: dict) -> list[Fraction]:
         """Global DOF values of a piecewise form, taken from the first
         adjacent element of each face."""
-        integrate = face_integrator(self.mesh.element_kind)
         out = []
-        for dof in self.dofs:
-            ei, psi = dof.face.adjacent[0]
-            out.append(integrate(wedge(pullback(pieces[ei], psi), dof.weight)))
+        for face, group in groupby(self.dofs, key=lambda dof: dof.face):
+            ei, psi = face.adjacent[0]
+            tr = pullback(pieces[ei], psi)
+            out += [self._moments(tr, dof.weight) for dof in group]
         return out
 
     def _dof_row(self, dof: GlobalDof, psi: AffineEmbedding) -> list[Fraction]:
@@ -380,8 +381,7 @@ class GlobalSpace:
         if traces is None:
             traces = [pullback(b, psi) for b in self.basis.forms]
             self._traces[key] = traces
-        integrate = face_integrator(self.mesh.element_kind)
-        return [integrate(wedge(tr, dof.weight)) for tr in traces]
+        return [self._moments(tr, dof.weight) for tr in traces]
 
     def _element_matrix(self, ei: int) -> linalg.LUFactor:
         got = self._lu.get(ei)
@@ -422,7 +422,13 @@ class GlobalSpace:
 
 
 def assemble(mesh: Mesh, family: str, r: int, k: int) -> GlobalSpace:
-    return GlobalSpace(mesh, family, r, k)
+    """The space of (family, r, k) on the mesh, built once per mesh so that
+    its element factorizations are shared by every later caller."""
+    key = (family, r, k)
+    space = mesh._spaces.get(key)
+    if space is None:
+        space = mesh._spaces[key] = GlobalSpace(mesh, family, r, k)
+    return space
 
 
 def face_sum_dimension(mesh: Mesh, family: str, r: int, k: int) -> int:

@@ -53,6 +53,15 @@ class Polynomial:
         self.n = n
         self.terms = clean
 
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "Polynomial":
+        """Trusted constructor for arithmetic that already keeps the invariant:
+        `terms` maps length-n exponent tuples to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.n = n
+        p.terms = terms
+        return p
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -96,12 +105,12 @@ class Polynomial:
                 terms[a] = s
             else:
                 terms.pop(a, None)
-        return Polynomial(self.n, terms)
+        return Polynomial._of(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {a: -c for a, c in self.terms.items()})
+        return Polynomial._of(self.n, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -116,7 +125,7 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return Polynomial.zero(self.n)
-            return Polynomial(self.n, {a: c * v for a, v in self.terms.items()})
+            return Polynomial._of(self.n, {a: c * v for a, v in self.terms.items()})
         self._check(other)
         out: dict = {}
         for a, ca in self.terms.items():
@@ -127,7 +136,7 @@ class Polynomial:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return Polynomial(self.n, out)
+        return Polynomial._of(self.n, out)
 
     __rmul__ = __mul__
 
@@ -254,30 +263,39 @@ def substitute(p: Polynomial, images: list[Polynomial], m: int,
                power_cache: dict | None = None) -> Polynomial:
     """Substitute images[i] for x^(i+1) in p; all images live in m variables.
 
-    `power_cache` maps (variable index, exponent) to cached powers; pass a
-    shared dict to reuse work across many substitutions into the same map.
+    `power_cache` maps exponent tuples to the images of their monomials;
+    pass a shared dict to reuse work across many substitutions into the
+    same map.
     """
     if power_cache is None:
         power_cache = {}
 
-    def power(i: int, e: int) -> Polynomial:
-        got = power_cache.get((i, e))
+    def image(alpha) -> Polynomial:
+        got = power_cache.get(alpha)
         if got is None:
-            if e == 0:
+            i = max((i for i, e in enumerate(alpha) if e), default=None)
+            if i is None:
                 got = Polynomial.constant(m, 1)
             else:
-                got = power(i, e - 1) * images[i]
-            power_cache[(i, e)] = got
+                lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                got = image(lower) * images[i]
+            power_cache[alpha] = got
         return got
 
-    total = Polynomial.zero(m)
+    # monomials in a variable mapped to zero vanish; skipping them keeps
+    # their (zero) images out of the shared cache
+    dead = [i for i, im in enumerate(images) if im.is_zero]
+    out: dict = {}
     for alpha, c in p.terms.items():
-        term = Polynomial.constant(m, c)
-        for i, e in enumerate(alpha):
-            if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+        if dead and any(alpha[i] for i in dead):
+            continue
+        for b, v in image(alpha).terms.items():
+            s = out.get(b, 0) + c * v
+            if s:
+                out[b] = s
+            else:
+                out.pop(b, None)
+    return Polynomial._of(m, out)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,16 @@ def test_project_spec_that_is_not_unisolvent_exits_2(monkeypatch, capsys):
     assert "not unisolvent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form, k, message", [
+    ("1/1 x1 x1", 0, "repeats"), ("1/1 x1 dx1 dx2", 1, "more than one dx")])
+def test_project_form_with_repeated_tokens_exits_2(monkeypatch, capsys,
+                                                   form, k, message):
+    assert main_exit_code(monkeypatch, [
+        "project", "--family", "Pminus", "--r", "1", "--k", str(k),
+        "--mesh", SQUARE, "--form", form]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_homotopy_out_of_range_exits_2(monkeypatch):
     assert main_exit_code(monkeypatch, ["homotopy", "--n", "2", "--r", "1",
                                         "--k", "5"]) == 2

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from feforms.combinatorics import enumerate_sigma, multiindices
+from feforms.combinatorics import enumerate_sigma, merge, multiindices
+from feforms.dofs import weight_basis
 from feforms.forms import (
     AffineEmbedding,
+    FaceMoments,
     PolyForm,
     exterior_derivative,
     form_from_string,
@@ -383,6 +386,17 @@ def test_form_from_string_rejects_indices_outside_dimension():
     assert form_from_string("1/1 x2^2", 2, 0) == PolyForm.monomial(2, (0, 2), ())
 
 
+def test_form_from_string_rejects_repeated_tokens():
+    # a repeated variable or a second dx part used to keep only the last one
+    for text, k in (("1/1 x1 x1", 0), ("1/1 x1^2 x1", 0),
+                    ("1/1 x1 x2 + 1/1 x2 x2", 0), ("1/1 dx1 dx2", 1),
+                    ("1/1 dx1 x1 dx2", 1)):
+        with pytest.raises(ValueError):
+            form_from_string(text, 2, k)
+    assert form_from_string("1/1 x1 x2 dx1^dx2", 2, 2) == \
+        PolyForm.monomial(2, (1, 1), (1, 2))
+
+
 def test_form_string_format():
     u = PolyForm.monomial(2, (2, 0), (1,), Fraction(3, 2)) + \
         PolyForm.monomial(2, (0, 1), (2,), -1)
@@ -405,3 +419,132 @@ def test_high_degree_forms_normalize_to_zero():
     assert u.is_zero
     du = exterior_derivative(PolyForm.monomial(2, (0, 0), (1, 2)))
     assert du.is_zero and du.k == 3
+
+
+# -- the face-moment kernel and the trusted constructors ------------------------
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def raw_terms(draw, n, k, max_degree=3):
+    """Random (alternator, exponents, coefficient) triples of a k-form on R^n."""
+    sigmas = enumerate_sigma(k, n)
+    exps = st.tuples(*[st.integers(0, max_degree)] * n)
+    return draw(st.lists(st.tuples(st.sampled_from(sigmas), exps, RATIONALS),
+                         max_size=6))
+
+
+def validated(n, k, terms) -> PolyForm:
+    """The form with these terms (repeats added), built by the public
+    constructors only."""
+    comps: dict = {}
+    for sigma, alpha, c in terms:
+        coeffs = comps.setdefault(sigma, {})
+        coeffs[alpha] = coeffs.get(alpha, 0) + c
+    return PolyForm(n, k, {s: Polynomial(n, t) for s, t in comps.items()})
+
+
+@st.composite
+def random_forms(draw, n, k, max_degree=3):
+    return validated(n, k, draw(raw_terms(n, k, max_degree)))
+
+
+def reference_moment(kind, tr, q):
+    integrate = integrate_std_simplex if kind == "simplex" else integrate_unit_box
+    return integrate(wedge(tr, q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d=st.integers(0, 3), kind=st.sampled_from(["simplex", "box"]))
+def test_face_moments_match_wedge_then_integrate(data, d, kind):
+    k = data.draw(st.integers(0, d))
+    q = data.draw(random_forms(d, d - k))
+    moments = FaceMoments(kind)
+    # the second trace reads moments the first one tabulated
+    for _ in range(2):
+        tr = data.draw(random_forms(d, k))
+        assert moments(tr, q) == reference_moment(kind, tr, q)
+
+
+@pytest.mark.parametrize("family, kind", [
+    ("P", "simplex"), ("Pminus", "simplex"), ("S", "box"), ("Qminus", "box")])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_face_moments_match_on_family_weights(family, kind, data):
+    d = data.draw(st.integers(0, 3))
+    k = data.draw(st.integers(0, d))
+    r = data.draw(st.integers(1, 3))
+    moments = FaceMoments(kind)
+    for q in weight_basis(family, r, k, d, kind):
+        tr = data.draw(random_forms(d, k))
+        assert moments(tr, q) == reference_moment(kind, tr, q)
+
+
+def test_face_moments_reject_bad_input():
+    with pytest.raises(ValueError):
+        FaceMoments("prism")
+    moments = FaceMoments("simplex")
+    with pytest.raises(ValueError):
+        moments(PolyForm.dx(2, 1), PolyForm.volume(2))  # a 3-form on R^2
+    with pytest.raises(ValueError):
+        moments(PolyForm.dx(2, 1), PolyForm.dx(3, 2))
+
+
+def assert_invariant(u: PolyForm):
+    """No stored zero, and equal to its rebuild by the public constructor."""
+    for sigma, a in u.components.items():
+        assert a.terms and a.n == u.n and len(sigma) == u.k
+        assert all(isinstance(c, Fraction) and c for c in a.terms.values())
+    rebuilt = PolyForm(u.n, u.k, {s: Polynomial(u.n, dict(a.terms))
+                                  for s, a in u.components.items()})
+    assert rebuilt == u and rebuilt.components == u.components
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, 3))
+def test_trusted_constructors_match_validating_ones(data, n):
+    k = data.draw(st.integers(0, n))
+    j = data.draw(st.integers(0, n - k))
+    ta, tb = data.draw(raw_terms(n, k)), data.draw(raw_terms(n, k))
+    a, b = validated(n, k, ta), validated(n, k, tb)
+    c = data.draw(random_forms(n, j))
+    s = data.draw(RATIONALS)
+    # few distinct entries, so that pulled-back terms often cancel
+    entries = st.sampled_from([0, 1, -1, Fraction(1, 2)])
+    m = data.draw(st.integers(0, n))
+    chart = AffineEmbedding(
+        data.draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                           min_size=n, max_size=n)),
+        data.draw(st.lists(entries, min_size=n, max_size=n)))
+
+    assert a + b == validated(n, k, ta + tb)
+    assert a - b == validated(n, k, ta + [(sg, al, -x) for sg, al, x in tb])
+    assert (a * s) == validated(n, k, [(sg, al, s * x) for sg, al, x in ta])
+    # cancellation: these are zero with every term added in
+    assert (a - a).components == {} and (a + (-a)).components == {}
+    graded = wedge(a, c) + (-1) ** (k * j + 1) * wedge(c, a)
+    assert graded.components == {}
+
+    want: list = []
+    for sa, pa in a.components.items():
+        for sc, pc in c.components.items():
+            sign, merged = merge(sa, sc)
+            if sign:
+                want += [(merged, tuple(x + y for x, y in zip(al, be)),
+                          sign * x * y)
+                         for al, x in pa.terms.items() for be, y in pc.terms.items()]
+    assert wedge(a, c) == validated(n, k + j, want)
+
+    for u in (a + b, a - b, a * s, a * 0, wedge(a, c), graded, pullback(a, chart)):
+        assert_invariant(u)
+
+
+def test_trusted_arithmetic_drops_cancelled_terms():
+    x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    diagonal = AffineEmbedding(((1,), (1,)), (0, 0))  # t -> (t, t)
+    p = x1 * x1 + Fraction(1, 2) * x2 - x1 * x2 - Fraction(1, 2) * x1
+    assert diagonal.substitute(p).terms == {}
+    u = PolyForm(2, 1, {(1,): x1 - x2, (2,): x2 * x2 - x1 * x2})
+    assert pullback(u, diagonal).components == {}
+    assert (x1 - x1).terms == {} and (u - u).components == {}

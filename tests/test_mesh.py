@@ -229,3 +229,24 @@ def test_pieces_helpers():
         assert dp[e] == exterior_derivative(piece)
     doc = ma.pieces_to_json_dict(pieces)
     assert set(doc) == {"0", "1"}
+
+
+def test_assemble_is_shared_per_mesh_and_spec(monkeypatch):
+    mesh = ma.two_triangle_square()
+    space = ma.assemble(mesh, "Pminus", 1, 0)
+    assert ma.assemble(mesh, "Pminus", 1, 0) is space
+    assert ma.assemble(mesh, "Pminus", 1, 1) is not space
+    assert ma.assemble(ma.two_triangle_square(), "Pminus", 1, 0) is not space
+    u = PolyForm.from_polynomial(Polynomial.variable(2, 1) * Polynomial.variable(2, 2))
+    space.project(u)
+    factored = []
+    lu = ma.linalg.LUFactor
+
+    def counting(rows):
+        factored.append(len(rows))
+        return lu(rows)
+
+    monkeypatch.setattr(ma.linalg, "LUFactor", counting)
+    assert ma.check_commuting(mesh, "Pminus", 1, u).passed
+    # only the k = 1 space is new; the k = 0 factorizations are reused
+    assert len(factored) == len(mesh.elements)

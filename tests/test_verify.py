@@ -1,7 +1,17 @@
+import hashlib
 import json
 from pathlib import Path
 
-from feforms import dofs, mesh_assembly, spaces, verify
+from feforms import complexes, dofs, forms, mesh_assembly, spaces, tables, verify
+from feforms.cli import run
+
+# sha256 of the verify-all reports; any change to a certificate shows here
+REPORT_SHA256 = {
+    "certificates.jsonl":
+        "42272dadcc42d554f8dc4f278c290f4e2658a75bb8fcc137bcc02c47ae0dcd40",
+    "summary.tsv":
+        "b3bf83106881ca0b6dc0c45f43f8c078f3088ece26c02d15e783367fe3bf1dad",
+}
 
 
 def test_golden_describe():
@@ -58,3 +68,27 @@ def test_table1_certificates_pass():
     certs = verify.tables.table1_certificates()
     assert [c.claim for c in certs] == ["table1:Qminus", "table1:S"]
     assert all(c.passed for c in certs)
+
+
+def test_table1_certificate_fails_on_perturbed_entry(monkeypatch):
+    row = list(tables.QMINUS_TABLE[(2, 1)])
+    row[2] += 1  # r = 3
+    monkeypatch.setitem(tables.QMINUS_TABLE, (2, 1), row)
+    qminus, s = tables.table1_certificates()
+    assert qminus.verdict == "fail" and s.passed
+    assert qminus.witness["mismatches"] == [
+        {"n": 2, "k": 1, "r": 3, "expected": row[2], "computed": row[2] - 1}]
+
+
+def test_homotopy_certificate_fails_on_flipped_koszul_sign(monkeypatch):
+    assert complexes.check_homotopy(2, 1, 1).passed
+    monkeypatch.setattr(complexes, "koszul", lambda u: -forms.koszul(u))
+    cert = complexes.check_homotopy(2, 1, 1)
+    assert cert.verdict == "fail"
+    assert len(cert.witness["failures"]) == cert.witness["basis_size"] > 0
+
+
+def test_verify_all_reports_match_recorded_digests(tmp_path, capsys):
+    assert run(["verify-all", "--out", str(tmp_path)]) == 0
+    for name, want in REPORT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
