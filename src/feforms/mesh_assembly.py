@@ -35,7 +35,12 @@ from feforms.forms import (
     pullback,
 )
 from feforms.dofs import reference_vertex, weight_basis
-from feforms.polynomial import barycentric, rational_to_string
+from feforms.polynomial import (
+    DegenerateSimplexError,
+    barycentric,
+    rational_from_string,
+    rational_to_string,
+)
 
 
 class MeshError(ValueError):
@@ -94,11 +99,14 @@ class Mesh:
             if any(not 0 <= i < len(self.vertices) for i in e):
                 raise MeshError(f"element {e} references a missing vertex")
         if self.kind == "simplicial":
+            planes = []
             for e in self.elements:
-                chart = AffineEmbedding.from_simplex([self.vertices[i] for i in e])
-                if chart.jacobian_det() == 0:
-                    raise DegenerateElementError(f"element {e} is degenerate")
-            self._check_simplicial_conformity()
+                try:
+                    lams = barycentric([self.vertices[i] for i in e]).lambdas
+                except DegenerateSimplexError:
+                    raise DegenerateElementError(f"element {e} is degenerate") from None
+                planes.append([_affine_parts(lam) for lam in lams])
+            self._check_simplicial_conformity(planes)
         else:
             self._box_bounds = tuple(self._validate_box(e) for e in self.elements)
             self._check_cubical_conformity()
@@ -118,28 +126,36 @@ class Mesh:
                     "axis-aligned box")
         return tuple(zip(lo, hi))
 
-    def _check_simplicial_conformity(self):
-        for a, b in combinations(range(len(self.elements)), 2):
+    def _check_simplicial_conformity(self, planes):
+        """Each pair of elements meets in a common face (or not at all).
+
+        `planes` holds each element's barycentric planes.  Only pairs whose
+        bounding boxes meet can intersect; a separating facet decides most
+        of them, and the exact intersection-vertex enumeration the rest.
+        """
+        verts = self.vertices
+        boxes = [tuple((min(c), max(c)) for c in zip(*(verts[i] for i in e)))
+                 for e in self.elements]
+        for a, b in _meeting_pairs(boxes):
             ea, eb = self.elements[a], self.elements[b]
-            shared = sorted(set(ea) & set(eb))
+            shared = set(ea) & set(eb)
             if set(ea) == set(eb):
                 raise NonconformingMeshError(
                     f"elements {a} and {b} have identical vertices")
-            for pt in _simplex_intersection_vertices(
-                    [self.vertices[i] for i in ea],
-                    [self.vertices[i] for i in eb]):
-                if not shared or not _in_subsimplex(
-                        pt, [self.vertices[i] for i in shared]):
+            if (_facet_separates(planes[a], eb, shared, verts)
+                    or _facet_separates(planes[b], ea, shared, verts)):
+                continue
+            corners = [verts[i] for i in sorted(shared)]
+            for pt in _intersection_vertices(planes[a] + planes[b]):
+                if not corners or not _in_subsimplex(pt, corners):
                     raise NonconformingMeshError(
                         f"elements {a} and {b} meet outside a common face")
 
     def _check_cubical_conformity(self):
-        for a, b in combinations(range(len(self.elements)), 2):
+        for a, b in _meeting_pairs(self._box_bounds):
             ba, bb = self._box_bounds[a], self._box_bounds[b]
             inter = [(max(l1, l2), min(h1, h2))
                      for (l1, h1), (l2, h2) in zip(ba, bb)]
-            if any(lo > hi for lo, hi in inter):
-                continue  # disjoint
             degenerate_axes = 0
             for (lo, hi), (l1, h1), (l2, h2) in zip(inter, ba, bb):
                 if lo == hi:
@@ -237,10 +253,21 @@ def read_mesh(source) -> Mesh:
                 doc = json.load(handle)
     try:
         return Mesh(doc["kind"], int(doc["n"]),
-                    [[Fraction(c) for c in v] for v in doc["vertices"]],
+                    [[_coordinate(c) for c in v] for v in doc["vertices"]],
                     doc["elements"])
     except KeyError as exc:
         raise MeshError(f"mesh document is missing key {exc}") from exc
+
+
+def _coordinate(c) -> Fraction:
+    """An exact coordinate from a `p/q` string or an integer.  Floats are
+    refused: their binary value is rarely the rational that was meant."""
+    if isinstance(c, bool) or not isinstance(c, (str, int)):
+        raise MeshError(f"coordinate {c!r} is not a p/q string or an integer")
+    try:
+        return rational_from_string(c) if isinstance(c, str) else Fraction(c)
+    except ValueError as exc:
+        raise MeshError(f"bad coordinate {c!r}: {exc}") from exc
 
 
 # -- exact conformity helpers ------------------------------------------------
@@ -262,33 +289,73 @@ def _affine_parts(poly):
     return grad, const
 
 
-def _simplex_intersection_vertices(verts_a, verts_b):
-    """Vertices of the intersection polytope of two simplices.
+def _meeting_pairs(boxes) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, whose closed boxes meet, in ascending order.
 
-    Brute force over n-subsets of the combined barycentric hyperplanes;
+    `boxes[i]` lists (lo, hi) per axis.  Sort by the low end on axis 1 and
+    sweep: the boxes that can meet box a on that axis follow it in the
+    order up to the first one starting beyond its high end.
+    """
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
+    pairs = []
+    for pos, a in enumerate(order):
+        box_a = boxes[a]
+        for q in range(pos + 1, len(order)):
+            b = order[q]
+            box_b = boxes[b]
+            if box_b[0][0] > box_a[0][1]:
+                break
+            if all(l1 <= h2 and l2 <= h1
+                   for (l1, h1), (l2, h2) in zip(box_a, box_b)):
+                pairs.append((a, b) if a < b else (b, a))
+    pairs.sort()
+    return pairs
+
+
+def _plane_value(plane, point) -> Fraction:
+    grad, const = plane
+    return sum(g * x for g, x in zip(grad, point)) + const
+
+
+def _facet_separates(planes, ids, shared, vertices) -> bool:
+    """A facet plane lambda_i = 0 with every vertex `ids` of the other
+    simplex on its closed outer side and exactly the `shared` ones on it.
+
+    The intersection then lies in the other simplex's face on the plane,
+    conv(shared), which is a face of both: the pair conforms.  False means
+    undecided, not nonconforming.
+    """
+    for plane in planes:
+        for i in ids:
+            value = _plane_value(plane, vertices[i])
+            if value > 0 or (value == 0) != (i in shared):
+                break
+        else:
+            return True
+    return False
+
+
+def _intersection_vertices(planes) -> list[tuple]:
+    """Vertices of the polytope where every barycentric plane is >= 0.
+
+    Brute force over n-subsets of the planes (those of two simplices);
     each nonsingular subset contributes its solution when it satisfies all
     the halfspace constraints.
     """
-    n = len(verts_a[0])
-    planes = []
-    for verts in (verts_a, verts_b):
-        for lam in barycentric(verts).lambdas:
-            planes.append(_affine_parts(lam))
+    n = len(planes[0][0])
     seen = set()
     out = []
-    for subset in combinations(range(len(planes)), n):
-        rows = [planes[i][0] for i in subset]
-        rhs = [-planes[i][1] for i in subset]
+    for subset in combinations(planes, n):
         try:
-            x = linalg.solve([list(r) for r in rows], rhs)
+            x = linalg.solve([list(grad) for grad, _ in subset],
+                             [-c for _, c in subset])
         except linalg.SingularMatrixError:
             continue
         point = tuple(x)
         if point in seen:
             continue
         seen.add(point)
-        if all(sum(g * xi for g, xi in zip(grad, point)) + c >= 0
-               for grad, c in planes):
+        if all(_plane_value(plane, point) >= 0 for plane in planes):
             out.append(point)
     return out
 
@@ -348,7 +415,7 @@ class GlobalSpace:
                 raise MeshError(
                     f"{family} r={r} k={k} is not unisolvent: element {ei} carries "
                     f"{len(local)} DOFs for a space of dimension {self.basis.dim}")
-        self._lu: dict[int, linalg.LUFactor] = {}
+        self._lu: dict[tuple, linalg.LUFactor] = {}
         self._traces: dict[tuple, list] = {}
         self._moments = FaceMoments(mesh.element_kind)
 
@@ -384,11 +451,17 @@ class GlobalSpace:
         return [self._moments(tr, dof.weight) for tr in traces]
 
     def _element_matrix(self, ei: int) -> linalg.LUFactor:
-        got = self._lu.get(ei)
+        """The element's factored DOF matrix, shared by the elements with
+        the same local pattern: the same weights through the same face
+        charts, in the same order.  Weights come from the cached
+        `weight_basis` and the DOFs keep them alive, so ids name them."""
+        key = tuple((id(dof.weight), psi.matrix, psi.offset)
+                    for dof, psi in self.element_dofs[ei])
+        got = self._lu.get(key)
         if got is None:
             got = linalg.LUFactor([self._dof_row(dof, psi)
                                    for dof, psi in self.element_dofs[ei]])
-            self._lu[ei] = got
+            self._lu[key] = got
         return got
 
     def _solve_piece(self, ei: int, rhs) -> PolyForm:

@@ -32,7 +32,10 @@ def rational_to_string(q) -> str:
 
 
 def rational_from_string(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 class Polynomial:

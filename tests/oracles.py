@@ -4,12 +4,20 @@ The simplex integration oracle performs iterated one-dimensional symbolic
 integration over the standard simplex parametrization (innermost variable
 from 0 to one minus the sum of the outer ones), so it shares no formula
 with the factorial-based rule in the package.
+
+The conformity oracle checks every pair of simplices, in `combinations`
+order, by enumerating the vertices of their intersection polytope in
+integer arithmetic (Cramer's rule on coordinates scaled to integers); it
+shares only the final face-membership test with the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
+from feforms.mesh_assembly import _in_subsimplex
 from feforms.polynomial import Polynomial
 
 
@@ -57,3 +65,87 @@ def permutation_sign(seq) -> int:
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
+
+
+def _det(rows) -> int:
+    """Determinant of a small square integer matrix by cofactor expansion."""
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def _integer_planes(corners):
+    """Barycentric planes (grad, const) of a simplex with integer corners,
+    each scaled by a positive integer: lambda_i(x) is det(M with row i
+    replaced by (1, x)) / det(M), where M has the rows (1, corner)."""
+    m = [[1, *c] for c in corners]
+    sign = 1 if _det(m) > 0 else -1
+    planes = []
+    for i in range(len(m)):
+        minor_rows = [r for k, r in enumerate(m) if k != i]
+        cof = [sign * (-1) ** (i + j) * _det([r[:j] + r[j + 1:] for r in minor_rows])
+               for j in range(len(m))]
+        planes.append((cof[1:], cof[0]))
+    return planes
+
+
+def _intersection_points(planes) -> set:
+    """Points where n of the planes meet and every plane is >= 0."""
+    n = len(planes[0][0])
+    points = set()
+    for subset in combinations(planes, n):
+        a = [list(grad) for grad, _ in subset]
+        rhs = [-c for _, c in subset]
+        d = _det(a)
+        if d == 0:
+            continue
+        nums = [_det([row[:j] + [b] + row[j + 1:] for row, b in zip(a, rhs)])
+                for j in range(n)]
+        if all((sum(g * x for g, x in zip(grad, nums)) + c * d) * d >= 0
+               for grad, c in planes):
+            points.add(tuple(Fraction(x, d) for x in nums))
+    return points
+
+
+def integer_simplices(vertices, elements):
+    """(integer vertices, integer planes per element) after scaling every
+    coordinate by the common denominator, or None if an element is flat."""
+    scale = lcm(*(Fraction(c).denominator for v in vertices for c in v))
+    ints = [tuple(int(Fraction(c) * scale) for c in v) for v in vertices]
+    planes = []
+    for e in elements:
+        corners = [ints[i] for i in e]
+        if _det([[1, *c] for c in corners]) == 0:
+            return None
+        planes.append(_integer_planes(corners))
+    return ints, planes
+
+
+def pair_conforms(ints, planes_a, planes_b, ea, eb) -> bool:
+    """Two simplices meet in the convex hull of their shared vertices."""
+    shared = [tuple(map(Fraction, ints[i])) for i in sorted(set(ea) & set(eb))]
+    return all(shared and _in_subsimplex(pt, shared)
+               for pt in _intersection_points(planes_a + planes_b))
+
+
+def conformity_verdict(vertices, elements):
+    """"degenerate", ("identical", a, b), ("outside", a, b) or "conforming",
+    naming the first failing pair in `combinations` order."""
+    scaled = integer_simplices(vertices, elements)
+    if scaled is None:
+        return "degenerate"
+    ints, planes = scaled
+    for a, b in combinations(range(len(elements)), 2):
+        ea, eb = elements[a], elements[b]
+        if set(ea) == set(eb):
+            return ("identical", a, b)
+        if not pair_conforms(ints, planes[a], planes[b], ea, eb):
+            return ("outside", a, b)
+    return "conforming"

@@ -110,6 +110,28 @@ def test_project_form_with_repeated_tokens_exits_2(monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_project_form_with_zero_denominator_exits_2(monkeypatch, capsys):
+    assert main_exit_code(monkeypatch, [
+        "project", "--family", "Pminus", "--r", "1", "--k", "0",
+        "--mesh", SQUARE, "--form", "1/0 x1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coordinate, message", [
+    ("1/0", "zero denominator"), (0.5, "not a p/q string"),
+    (True, "not a p/q string")])
+def test_project_mesh_with_bad_coordinate_exits_2(monkeypatch, capsys, tmp_path,
+                                                  coordinate, message):
+    doc = json.loads(Path(SQUARE).read_text())
+    doc["vertices"][1][0] = coordinate
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    assert main_exit_code(monkeypatch, [
+        "project", "--family", "Pminus", "--r", "1", "--k", "0",
+        "--mesh", str(path), "--form", "1/1 x1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_homotopy_out_of_range_exits_2(monkeypatch):
     assert main_exit_code(monkeypatch, ["homotopy", "--n", "2", "--r", "1",
                                         "--k", "5"]) == 2

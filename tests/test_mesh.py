@@ -1,12 +1,17 @@
 import json
+import random
+import re
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from feforms import mesh_assembly as ma
 from feforms.forms import PolyForm, exterior_derivative, form_to_string
-from feforms.polynomial import Polynomial
+from feforms.polynomial import Polynomial, barycentric
 from feforms.verify import commuting_inputs
+from oracles import conformity_verdict, integer_simplices, pair_conforms
 
 
 def test_read_mesh_roundtrip(tmp_path):
@@ -250,3 +255,190 @@ def test_assemble_is_shared_per_mesh_and_spec(monkeypatch):
     assert ma.check_commuting(mesh, "Pminus", 1, u).passed
     # only the k = 1 space is new; the k = 0 factorizations are reused
     assert len(factored) == len(mesh.elements)
+
+
+# -- conformity: pruning, certificate and fallback -------------------------------
+
+
+def kuhn_grid(n, m, rng=None):
+    """Vertices and elements of the Kuhn triangulation of the unit n-cube
+    into m^n cells of n! simplices; `rng` permutes the vertex ids."""
+    coords = list(product(range(m + 1), repeat=n))
+    new_id = list(range(len(coords)))
+    if rng is not None:
+        rng.shuffle(new_id)
+    vertices = [None] * len(coords)
+    index = {}
+    for old, c in enumerate(coords):
+        vertices[new_id[old]] = tuple(Fraction(x, m) for x in c)
+        index[c] = new_id[old]
+    elements = []
+    for cell in product(range(m), repeat=n):
+        for order in permutations(range(n)):
+            corner = list(cell)
+            simplex = [index[cell]]
+            for ax in order:
+                corner[ax] += 1
+                simplex.append(index[tuple(corner)])
+            elements.append(tuple(simplex))
+    return vertices, elements
+
+
+@st.composite
+def moved_kuhn_grids(draw, n, sizes):
+    """A Kuhn grid, elements shuffled, with one interior vertex moved by an
+    odd number of eighths of a cell width (at most 11/8) on each axis, so
+    that it never lands on another vertex."""
+    m = draw(st.sampled_from(sizes))
+    vertices, elements = kuhn_grid(n, m)
+    elements = draw(st.permutations(elements))
+    interior = [i for i, v in enumerate(vertices) if all(0 < c < 1 for c in v)]
+    i = draw(st.sampled_from(interior))
+    step = st.integers(-6, 5).map(lambda k: Fraction(2 * k + 1, 8))
+    vertices[i] = tuple(c + draw(step) / m for c in vertices[i])
+    return vertices, elements
+
+
+def mesh_verdict(n, vertices, elements):
+    """The verdict of `Mesh` in the form of `oracles.conformity_verdict`."""
+    try:
+        ma.Mesh("simplicial", n, vertices, elements)
+    except ma.DegenerateElementError:
+        return "degenerate"
+    except ma.NonconformingMeshError as exc:
+        found = re.fullmatch(r"elements (\d+) and (\d+) "
+                             r"(have identical vertices|meet outside a common face)",
+                             str(exc))
+        kind = "identical" if found[3].startswith("have") else "outside"
+        return (kind, int(found[1]), int(found[2]))
+    return "conforming"
+
+
+@settings(max_examples=30, deadline=None)
+@given(moved_kuhn_grids(2, (2, 3, 4)))
+def test_pruned_conformity_agrees_with_brute_force_2d(grid):
+    assert mesh_verdict(2, *grid) == conformity_verdict(*grid)
+
+
+@settings(max_examples=5, deadline=None)
+@given(moved_kuhn_grids(3, (2,)))
+def test_pruned_conformity_agrees_with_brute_force_3d(grid):
+    assert mesh_verdict(3, *grid) == conformity_verdict(*grid)
+
+
+@pytest.mark.parametrize("n, offset", [
+    (2, (Fraction(3, 10), Fraction(-3, 10))),
+    (3, (Fraction(2, 5), Fraction(-2, 5), Fraction(0)))])
+def test_moved_vertex_breaks_conformity(n, offset):
+    vertices, elements = kuhn_grid(n, 2)
+    centre = vertices.index((Fraction(1, 2),) * n)
+    vertices[centre] = tuple(c + o for c, o in zip(vertices[centre], offset))
+    verdict = mesh_verdict(n, vertices, elements)
+    assert verdict[0] == "outside"
+    assert verdict == conformity_verdict(vertices, elements)
+
+
+def assert_facet_certificate_sound(vertices, elements):
+    scaled = integer_simplices(vertices, elements)
+    assume(scaled is not None)
+    ints, int_planes = scaled
+    planes = [[ma._affine_parts(lam)
+               for lam in barycentric([vertices[i] for i in e]).lambdas]
+              for e in elements]
+    for a, b in combinations(range(len(elements)), 2):
+        ea, eb = elements[a], elements[b]
+        shared = set(ea) & set(eb)
+        if (ma._facet_separates(planes[a], eb, shared, vertices)
+                or ma._facet_separates(planes[b], ea, shared, vertices)):
+            assert pair_conforms(ints, int_planes[a], int_planes[b], ea, eb)
+
+
+@settings(max_examples=25, deadline=None)
+@given(moved_kuhn_grids(2, (2, 3, 4)))
+def test_facet_certificate_accepts_only_conforming_pairs_2d(grid):
+    assert_facet_certificate_sound(*grid)
+
+
+@settings(max_examples=3, deadline=None)
+@given(moved_kuhn_grids(3, (2,)))
+def test_facet_certificate_accepts_only_conforming_pairs_3d(grid):
+    assert_facet_certificate_sound(*grid)
+
+
+def test_nested_triangle_is_nonconforming():
+    # no shared vertex, and the inner box lies inside the outer one
+    with pytest.raises(ma.NonconformingMeshError, match="elements 0 and 1 meet"):
+        ma.Mesh("simplicial", 2, [(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)],
+                [(0, 1, 2), (3, 4, 5)])
+
+
+def test_tetrahedra_with_apexes_on_one_side_are_nonconforming():
+    with pytest.raises(ma.NonconformingMeshError, match="elements 0 and 1 meet"):
+        ma.Mesh("simplicial", 3,
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                 (Fraction(1, 4), Fraction(1, 4), 2)],
+                [(0, 1, 2, 3), (0, 1, 2, 4)])
+
+
+def test_reordered_duplicate_element_is_nonconforming():
+    with pytest.raises(ma.NonconformingMeshError, match="identical vertices"):
+        ma.Mesh("simplicial", 2, [(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (2, 0, 1)])
+
+
+def test_pair_the_certificate_cannot_decide_falls_back(monkeypatch):
+    # one shared vertex and collinear edges: each facet line through the
+    # shared vertex also holds an unshared vertex of the other triangle
+    enumerated = []
+    enumerate_vertices = ma._intersection_vertices
+
+    def counting(planes):
+        enumerated.append(len(planes))
+        return enumerate_vertices(planes)
+
+    monkeypatch.setattr(ma, "_intersection_vertices", counting)
+    ma.Mesh("simplicial", 2, [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
+            [(0, 1, 2), (0, 3, 4)])
+    assert enumerated == [6]
+
+
+def test_validation_checks_near_linearly_many_pairs(monkeypatch):
+    vertices, elements = kuhn_grid(2, 16)
+    swept, enumerated = [], []
+    meeting_pairs = ma._meeting_pairs
+    enumerate_vertices = ma._intersection_vertices
+
+    def counting_pairs(boxes):
+        pairs = meeting_pairs(boxes)
+        swept.append(len(pairs))
+        return pairs
+
+    def counting_vertices(planes):
+        enumerated.append(1)
+        return enumerate_vertices(planes)
+
+    monkeypatch.setattr(ma, "_meeting_pairs", counting_pairs)
+    monkeypatch.setattr(ma, "_intersection_vertices", counting_vertices)
+    ma.Mesh("simplicial", 2, vertices, elements)
+    assert len(elements) == 512
+    assert swept[0] <= 20 * len(elements)  # C(512, 2) = 130,816
+    assert len(enumerated) <= swept[0]
+
+
+def test_element_factors_are_shared_by_local_pattern():
+    vertices, elements = kuhn_grid(2, 3, random.Random(5))
+    mesh = ma.Mesh("simplicial", 2, vertices, elements)
+    space = ma.assemble(mesh, "Pminus", 2, 1)
+    u = PolyForm.monomial(2, (2, 1), (1,)) + PolyForm.monomial(2, (0, 3), (2,), 3)
+    projected = space.project(u)
+    values = space.dof_values(space.as_pieces(u))
+    for ei, local in enumerate(space.element_dofs):
+        fresh = ma.linalg.LUFactor([space._dof_row(dof, psi) for dof, psi in local])
+        coeffs = fresh.solve([values[dof.index] for dof, _ in local])
+        piece = PolyForm.zero(2, 1)
+        for c, b in zip(coeffs, space.basis.forms):
+            piece = piece + c * b
+        assert projected[ei] == piece
+    patterns = {tuple((form_to_string(dof.weight), psi.matrix, psi.offset)
+                      for dof, psi in local)
+                for local in space.element_dofs}
+    assert len(space._lu) == len(patterns) < len(elements)
