@@ -22,7 +22,6 @@ from feforms.forms import (
     koszul,
     ldeg,
     pullback,
-    trace_to_face,
     wedge,
 )
 from feforms.polynomial import NEG_INF, Polynomial, barycentric
@@ -51,6 +50,5 @@ __all__ = [
     "membership",
     "merge_sign",
     "pullback",
-    "trace_to_face",
     "wedge",
 ]

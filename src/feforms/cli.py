@@ -117,8 +117,7 @@ def run(argv=None) -> int:
 
     if args.verb == "dims":
         spec = make_spec(args.family, args.n, args.r, args.k)
-        method = "rank" if args.family == "S" else "formula"
-        sys.stdout.write(f"{spaces.dimension(spec, method)}\n")
+        sys.stdout.write(f"{spaces.dimension(spec)}\n")
         return 0
 
     if args.verb == "describe":
@@ -163,7 +162,7 @@ def run(argv=None) -> int:
             rows.append({"d": d, "faces": per_dim[d],
                          "count_per_face": entry["count_per_face"],
                          "subtotal": subtotal})
-        dim = spaces.dimension(spec, "rank")
+        dim = spaces.basis_for(spec).dim
         sys.stdout.write(f"{'d':>2} {'faces':>6} {'per-face':>9} {'subtotal':>9}\n")
         for row in rows:
             sys.stdout.write(f"{row['d']:>2} {row['faces']:>6} "

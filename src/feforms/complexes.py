@@ -26,7 +26,6 @@ from feforms.forms import (
 )
 from feforms.polynomial import Polynomial, sdeg_exponents
 from feforms.spaces import (
-    SpanChecker,
     basis_for,
     basis_H,
     basis_P,
@@ -54,30 +53,6 @@ class Certificate:
             {"claim": self.claim, "params": self.params,
              "verdict": self.verdict, "witness": self.witness},
             sort_keys=True)
-
-
-@dataclass(frozen=True)
-class ComplexSpec:
-    """One derivative chain: family, dimension, and starting degree."""
-    family: str
-    n: int
-    r: int
-    element: str = ""
-
-    def __post_init__(self):
-        if self.family not in ("P", "Pminus", "Qminus", "S"):
-            raise ValueError(f"unknown family {self.family!r}")
-        element = "box" if self.family in ("Qminus", "S") else "simplex"
-        if self.element and self.element != element:
-            raise ValueError(f"family {self.family} lives on {element} elements")
-        object.__setattr__(self, "element", element)
-        rmin = 1
-        if self.r < rmin:
-            raise ValueError(f"chains need r >= {rmin}")
-
-    @property
-    def degrees(self) -> list:
-        return chain_degrees(self.family, self.r, self.n)
 
 
 def _verdict(ok: bool) -> str:
@@ -119,13 +94,14 @@ def chain_degrees(family: str, r: int, n: int) -> list[int | None]:
     return out
 
 
-def check_complex(family, n: int | None = None, r: int | None = None) -> Certificate:
-    """The derivative maps each level's span into the next level's span.
+def _check_chain_params(n: int, r: int) -> None:
+    if n < 1 or r < 1:
+        raise ValueError(f"chains need n >= 1 and r >= 1, got n={n}, r={r}")
 
-    Accepts a ComplexSpec or the (family, n, r) triple.
-    """
-    if isinstance(family, ComplexSpec):
-        family, n, r = family.family, family.n, family.r
+
+def check_complex(family: str, n: int, r: int) -> Certificate:
+    """The derivative maps each level's span into the next level's span."""
+    _check_chain_params(n, r)
     degrees = chain_degrees(family, r, n)
     levels = []
     ok = True
@@ -147,14 +123,7 @@ def check_complex(family, n: int | None = None, r: int | None = None) -> Certifi
                        _verdict(ok), {"levels": levels})
 
 
-def _map_rank(forms, operator) -> int:
-    chk = SpanChecker()
-    for f in forms:
-        chk.add(operator(f))
-    return chk.rank
-
-
-def check_exactness(kind, n: int | None = None, r: int | None = None) -> Certificate:
+def check_exactness(kind: str, n: int, r: int) -> Certificate:
     """Rank-nullity exactness of a polynomial chain.
 
     kind "P":      levels P_(r-j) j-forms with the derivative, exact except
@@ -164,11 +133,8 @@ def check_exactness(kind, n: int | None = None, r: int | None = None) -> Certifi
     kind "koszul": levels P_(r-j) j-forms with the contraction running the
                    other way; injective at the top level and hitting every
                    polynomial without constant term at level 0.
-
-    Accepts a ComplexSpec (families P and Pminus) in place of the kind.
     """
-    if isinstance(kind, ComplexSpec):
-        kind, n, r = kind.family, kind.n, kind.r
+    _check_chain_params(n, r)
     params = {"kind": kind, "n": n, "r": r}
     dims, ranks = [], []
     if kind in ("P", "koszul"):
@@ -180,7 +146,7 @@ def check_exactness(kind, n: int | None = None, r: int | None = None) -> Certifi
     dims = [b.dim if b else 0 for b in bases]
     operator = koszul if kind == "koszul" else exterior_derivative
     for j in range(n + 1):
-        ranks.append(_map_rank(bases[j].forms, operator) if bases[j] else 0)
+        ranks.append(span_rank(map(operator, bases[j].forms)) if bases[j] else 0)
     nullities = [dims[j] - ranks[j] for j in range(n + 1)]
 
     conditions = []

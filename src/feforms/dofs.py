@@ -127,27 +127,6 @@ def dofs_for(spec: SpaceSpec) -> DofSet:
     return DofSet(spec, tuple(functionals))
 
 
-def dofs_P(r: int, k: int, n: int) -> DofSet:
-    return dofs_for(spaces.make_spec("P", n, r, k))
-
-
-def dofs_Pminus(r: int, k: int, n: int) -> DofSet:
-    return dofs_for(spaces.make_spec("Pminus", n, r, k))
-
-
-def dofs_Qminus(r: int, k: int, n: int) -> DofSet:
-    return dofs_for(spaces.make_spec("Qminus", n, r, k))
-
-
-def dofs_S(r: int, k: int, n: int) -> DofSet:
-    return dofs_for(spaces.make_spec("S", n, r, k))
-
-
-def dofs_lagrange(r: int, n: int) -> DofSet:
-    """Vertex values plus face moments of degree r-d-1: the 0-form case."""
-    return dofs_for(spaces.make_spec("P", n, r, 0))
-
-
 def apply(phi: DofFunctional, u: PolyForm) -> Fraction:
     """Exact value of the functional: the moment of the trace of u on the face."""
     face = phi.face

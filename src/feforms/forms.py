@@ -395,11 +395,6 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
     return PolyForm._of(m, k, comps)
 
 
-def trace_to_face(u: PolyForm, face: AffineEmbedding) -> PolyForm:
-    """Trace of u on an embedded face: the pullback along the face chart."""
-    return pullback(u, face)
-
-
 def translate(u: PolyForm, shift) -> PolyForm:
     """Substitute x -> x + shift (the pullback through that translation)."""
     return pullback(u, AffineEmbedding.translation(shift))

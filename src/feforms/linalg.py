@@ -4,8 +4,7 @@ Two engines.  The rank workhorse is an incremental sparse echelon form on
 integer rows (fraction-free: rows are rescaled to coprime integers and
 combined by cross-multiplication).  Pivoting is deterministic: the pivot of
 a row is its smallest column key, so repeated runs produce identical
-echelons.  Dense Fraction routines (LU solves, RREF, nullspaces) handle
-square systems and kernel extraction.
+echelons.  Dense Fraction LU factors handle square solves.
 
 Nonsingularity of a square matrix has a modular shortcut: a determinant
 that is nonzero mod p certifies a nonzero determinant over Q, while an
@@ -222,48 +221,3 @@ class LUFactor:
 
 def solve(rows: list, b: list) -> list[Fraction]:
     return LUFactor(rows).solve(b)
-
-
-def rref(rows: list) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    a = [[Fraction(v) for v in r] for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a[:r], pivots
-
-
-def nullspace(rows: list, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the matrix, one vector per free column."""
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(v)
-    return basis

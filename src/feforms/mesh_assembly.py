@@ -69,10 +69,14 @@ class Mesh:
     def __init__(self, kind: str, n: int, vertices, elements):
         if kind not in ("simplicial", "cubical"):
             raise MeshError(f"unknown mesh kind {kind!r}")
+        if not _is_int(n):
+            raise MeshError(f"mesh dimension {n!r} is not an integer")
         self.kind = kind
         self.n = n
         self.vertices = tuple(tuple(Fraction(c) for c in v) for v in vertices)
-        self.elements = tuple(tuple(int(i) for i in e) for e in elements)
+        self.elements = tuple(tuple(e) for e in elements)
+        if not all(_is_int(i) for e in self.elements for i in e):
+            raise MeshError("element vertex ids must be integers")
         self._faces = None
         self._element_charts = None
         self._box_bounds = None
@@ -145,9 +149,11 @@ class Mesh:
             if (_facet_separates(planes[a], eb, shared, verts)
                     or _facet_separates(planes[b], ea, shared, verts)):
                 continue
-            corners = [verts[i] for i in sorted(shared)]
+            # a point of A lies in its face conv(shared) exactly when the
+            # barycentric coordinates of A's other vertices vanish there
+            outside = [plane for i, plane in zip(ea, planes[a]) if i not in shared]
             for pt in _intersection_vertices(planes[a] + planes[b]):
-                if not corners or not _in_subsimplex(pt, corners):
+                if any(_plane_value(plane, pt) for plane in outside):
                     raise NonconformingMeshError(
                         f"elements {a} and {b} meet outside a common face")
 
@@ -251,18 +257,27 @@ def read_mesh(source) -> Mesh:
         else:
             with open(text, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise MeshError("mesh document is not a JSON object")
     try:
-        return Mesh(doc["kind"], int(doc["n"]),
-                    [[_coordinate(c) for c in v] for v in doc["vertices"]],
-                    doc["elements"])
+        kind, n, vertices, elements = (doc[key] for key in
+                                       ("kind", "n", "vertices", "elements"))
     except KeyError as exc:
         raise MeshError(f"mesh document is missing key {exc}") from exc
+    for key, rows in (("vertices", vertices), ("elements", elements)):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise MeshError(f"mesh {key} must be a list of lists")
+    return Mesh(kind, n, [[_coordinate(c) for c in v] for v in vertices], elements)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _coordinate(c) -> Fraction:
     """An exact coordinate from a `p/q` string or an integer.  Floats are
     refused: their binary value is rarely the rational that was meant."""
-    if isinstance(c, bool) or not isinstance(c, (str, int)):
+    if not (_is_int(c) or isinstance(c, str)):
         raise MeshError(f"coordinate {c!r} is not a p/q string or an integer")
     try:
         return rational_from_string(c) if isinstance(c, str) else Fraction(c)
@@ -358,23 +373,6 @@ def _intersection_vertices(planes) -> list[tuple]:
         if all(_plane_value(plane, point) >= 0 for plane in planes):
             out.append(point)
     return out
-
-
-def _in_subsimplex(point, verts) -> bool:
-    """Membership of a point in the convex hull of affinely independent verts."""
-    rows = [[Fraction(1)] * len(verts)]
-    rhs = [Fraction(1)]
-    for i in range(len(point)):
-        rows.append([v[i] for v in verts])
-        rhs.append(Fraction(point[i]))
-    reduced, pivots = linalg.rref([row + [b] for row, b in zip(rows, rhs)])
-    ncols = len(verts)
-    if ncols in pivots:
-        return False  # inconsistent system: point outside the affine hull
-    mu = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        mu[c] = reduced[r][ncols]
-    return all(m >= 0 for m in mu)
 
 
 # -- global spaces -----------------------------------------------------------

@@ -211,17 +211,6 @@ class Polynomial:
             total += v
         return total
 
-    def compose_affine(self, matrix, offset) -> "Polynomial":
-        """Exact substitution x = offset + matrix @ t.
-
-        `matrix` has n rows of length m; the result lives in m variables.
-        """
-        if len(matrix) != self.n or len(offset) != self.n:
-            raise ValueError("affine map shape does not match ambient dimension")
-        m = len(matrix[0]) if self.n else 0
-        images = [affine_polynomial(m, row, c) for row, c in zip(matrix, offset)]
-        return substitute(self, images, m)
-
     def sdeg(self):
         """Superlinear degree: max over monomials, NEG_INF for zero."""
         if not self.terms:

@@ -288,24 +288,15 @@ def dimension_Qminus(n: int, r: int, k: int) -> int:
     return comb(n, k) * r ** k * (r + 1) ** (n - k)
 
 
-def dimension(spec: SpaceSpec, method: str = "formula") -> int:
-    """Dimension by closed formula (where one exists) or by basis rank."""
-    if method == "rank":
-        return basis_for(spec).dim
-    if method != "formula":
-        raise ValueError(f"unknown method {method!r}")
+def dimension(spec: SpaceSpec) -> int:
+    """Dimension by closed formula where one exists, else by basis rank."""
     if spec.family == "P":
         return dimension_P(spec.n, spec.r, spec.k)
     if spec.family == "Pminus":
         return dimension_Pminus(spec.n, spec.r, spec.k)
     if spec.family == "Qminus":
         return dimension_Qminus(spec.n, spec.r, spec.k)
-    if spec.family == "H":
-        return len(basis_H(spec.r, spec.k, spec.n).forms)
-    if spec.family == "Hrl":
-        return len(basis_Hrl(spec.r, spec.l, spec.k, spec.n).forms)
-    raise ValueError(f"family {spec.family} has no closed dimension formula; "
-                     "use method='rank'")
+    return basis_for(spec).dim
 
 
 def membership(u: PolyForm, spec: SpaceSpec) -> bool:

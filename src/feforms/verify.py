@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from feforms import complexes, dofs, mesh_assembly, spaces, tables
 from feforms.complexes import Certificate
-from feforms.forms import PolyForm
 from feforms.spaces import make_spec
 
 
@@ -24,8 +23,8 @@ def _dims_certificates() -> list[Certificate]:
             for r in range(1, 7):
                 for k in range(n + 1):
                     spec = make_spec(family, n, r, k)
-                    formula = spaces.dimension(spec, "formula")
-                    rank = spaces.dimension(spec, "rank")
+                    formula = spaces.dimension(spec)
+                    rank = spaces.basis_for(spec).dim
                     checked += 1
                     if formula != rank:
                         mismatches.append({"n": n, "r": r, "k": k,
@@ -131,11 +130,6 @@ COMMUTING_CASES = (
 )
 
 
-def commuting_inputs(n: int, k: int, degree: int) -> list[PolyForm]:
-    """Every monomial k-form on R^n of coefficient degree <= degree."""
-    return spaces.monomial_forms(n, k, degree)
-
-
 def _commuting_certificates() -> list[Certificate]:
     certs = []
     for mesh_name, family, r in COMMUTING_CASES:
@@ -147,7 +141,7 @@ def _commuting_certificates() -> list[Certificate]:
                 continue
             failures = []
             tested = 0
-            for u in commuting_inputs(mesh.n, k, deg_k + 1):
+            for u in spaces.monomial_forms(mesh.n, k, deg_k + 1):
                 cert = mesh_assembly.check_commuting(mesh, family, deg_k, u)
                 tested += 1
                 if not cert.passed:

@@ -8,7 +8,7 @@ with the factorial-based rule in the package.
 The conformity oracle checks every pair of simplices, in `combinations`
 order, by enumerating the vertices of their intersection polytope in
 integer arithmetic (Cramer's rule on coordinates scaled to integers); it
-shares only the final face-membership test with the package.
+imports nothing from the mesh code.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from feforms.mesh_assembly import _in_subsimplex
+from feforms.forms import AffineEmbedding
 from feforms.polynomial import Polynomial
 
 
@@ -38,8 +38,8 @@ def iterated_simplex_integral(p: Polynomial) -> Fraction:
     lower_matrix = [row[:] for row in upper_matrix]
     lower_matrix[d - 1] = [Fraction(0)] * (d - 1)
     lower_offset = [Fraction(0)] * d
-    at_upper = anti.compose_affine(upper_matrix, upper_offset)
-    at_lower = anti.compose_affine(lower_matrix, lower_offset)
+    at_upper = AffineEmbedding(upper_matrix, upper_offset).substitute(anti)
+    at_lower = AffineEmbedding(lower_matrix, lower_offset).substitute(anti)
     return iterated_simplex_integral(at_upper - at_lower)
 
 
@@ -115,8 +115,8 @@ def _intersection_points(planes) -> set:
 
 
 def integer_simplices(vertices, elements):
-    """(integer vertices, integer planes per element) after scaling every
-    coordinate by the common denominator, or None if an element is flat."""
+    """Integer barycentric planes per element after scaling every coordinate
+    by the common denominator, or None if an element is flat."""
     scale = lcm(*(Fraction(c).denominator for v in vertices for c in v))
     ints = [tuple(int(Fraction(c) * scale) for c in v) for v in vertices]
     planes = []
@@ -125,27 +125,28 @@ def integer_simplices(vertices, elements):
         if _det([[1, *c] for c in corners]) == 0:
             return None
         planes.append(_integer_planes(corners))
-    return ints, planes
+    return planes
 
 
-def pair_conforms(ints, planes_a, planes_b, ea, eb) -> bool:
-    """Two simplices meet in the convex hull of their shared vertices."""
-    shared = [tuple(map(Fraction, ints[i])) for i in sorted(set(ea) & set(eb))]
-    return all(shared and _in_subsimplex(pt, shared)
-               for pt in _intersection_points(planes_a + planes_b))
+def pair_conforms(planes_a, planes_b, ea, eb) -> bool:
+    """Two simplices meet in the convex hull of their shared vertices: at
+    every intersection vertex, the planes of A's unshared vertices vanish."""
+    outside = [plane for i, plane in zip(ea, planes_a) if i not in eb]
+    return not any(sum(g * x for g, x in zip(grad, pt)) + c
+                   for pt in _intersection_points(planes_a + planes_b)
+                   for grad, c in outside)
 
 
 def conformity_verdict(vertices, elements):
     """"degenerate", ("identical", a, b), ("outside", a, b) or "conforming",
     naming the first failing pair in `combinations` order."""
-    scaled = integer_simplices(vertices, elements)
-    if scaled is None:
+    planes = integer_simplices(vertices, elements)
+    if planes is None:
         return "degenerate"
-    ints, planes = scaled
     for a, b in combinations(range(len(elements)), 2):
         ea, eb = elements[a], elements[b]
         if set(ea) == set(eb):
             return ("identical", a, b)
-        if not pair_conforms(ints, planes[a], planes[b], ea, eb):
+        if not pair_conforms(planes[a], planes[b], ea, eb):
             return ("outside", a, b)
     return "conforming"

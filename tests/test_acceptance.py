@@ -20,8 +20,7 @@ from feforms.complexes import (
 from feforms.dofs import unisolvence_check
 from feforms.forms import PolyForm, integrate_std_simplex
 from feforms.polynomial import Polynomial
-from feforms.spaces import make_spec
-from feforms.verify import commuting_inputs
+from feforms.spaces import make_spec, monomial_forms
 from oracles import iterated_simplex_integral
 
 
@@ -133,7 +132,7 @@ def test_criterion_7_commuting_diagram():
             deg_k, deg_k1 = degrees[k], degrees[k + 1]
             if deg_k is None or deg_k1 is None or deg_k < 1 or deg_k1 < 1:
                 continue
-            for u in commuting_inputs(mesh.n, k, deg_k + 1):
+            for u in monomial_forms(mesh.n, k, deg_k + 1):
                 cert = ma.check_commuting(mesh, family, deg_k, u)
                 tested += 1
                 ok &= cert.passed

@@ -48,6 +48,14 @@ def test_complex_verb(capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("family, n, r", [
+    ("S", 2, 0), ("Qminus", 0, 1), ("P", 0, 1), ("P", -2, 2)])
+def test_complex_verb_without_a_chain_exits_2(monkeypatch, capsys, family, n, r):
+    assert main_exit_code(monkeypatch, ["complex", "--family", family,
+                                        "--n", str(n), "--r", str(r)]) == 2
+    assert "chains need n >= 1 and r >= 1" in capsys.readouterr().err
+
+
 def test_homotopy_verb(capsys):
     assert run(["homotopy", "--n", "3", "--r", "2", "--k", "1"]) == 0
 
@@ -124,6 +132,32 @@ def test_project_mesh_with_bad_coordinate_exits_2(monkeypatch, capsys, tmp_path,
                                                   coordinate, message):
     doc = json.loads(Path(SQUARE).read_text())
     doc["vertices"][1][0] = coordinate
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    assert main_exit_code(monkeypatch, [
+        "project", "--family", "Pminus", "--r", "1", "--k", "0",
+        "--mesh", str(path), "--form", "1/1 x1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 2.7, "dimension 2.7 is not an integer"),
+    ("n", "2", "dimension '2' is not an integer"),
+    ("n", True, "dimension True is not an integer"),
+    ("elements", [[0, 1.9, 2], [1, 3, 2]], "vertex ids must be integers"),
+    ("elements", [[0, True, 2], [1, 3, 2]], "vertex ids must be integers"),
+    ("vertices", 5, "vertices must be a list of lists"),
+    ("elements", 7, "elements must be a list of lists"),
+    (None, None, "not a JSON object")],
+    ids=["n-float", "n-string", "n-bool", "id-float", "id-bool",
+         "vertices-int", "elements-int", "document-list"])
+def test_project_mesh_with_bad_shape_or_ids_exits_2(monkeypatch, capsys, tmp_path,
+                                                    key, value, message):
+    doc = json.loads(Path(SQUARE).read_text())
+    if key is None:
+        doc = [doc]
+    else:
+        doc[key] = value
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(doc))
     assert main_exit_code(monkeypatch, [

@@ -4,7 +4,6 @@ import pytest
 
 from feforms.complexes import (
     Certificate,
-    ComplexSpec,
     certificates_to_jsonl,
     chain_degrees,
     check_complex,
@@ -27,16 +26,14 @@ def test_chain_degrees():
     assert chain_degrees("Qminus", 1, 2) == [1, 1, 1]
 
 
-def test_complex_spec():
-    spec = ComplexSpec("Qminus", 2, 1)
-    assert spec.element == "box"
-    assert spec.degrees == [1, 1, 1]
-    assert check_complex(spec).passed
-    assert check_exactness(ComplexSpec("Pminus", 2, 2)).passed
-    with pytest.raises(ValueError):
-        ComplexSpec("S", 2, 0)
-    with pytest.raises(ValueError):
-        ComplexSpec("P", 2, 2, "box")
+def test_chain_checks_reject_bad_parameters():
+    assert check_complex("Qminus", 2, 1).passed
+    assert check_exactness("Pminus", 2, 2).passed
+    for check, args in ((check_complex, ("S", 2, 0)), (check_complex, ("Qminus", 0, 1)),
+                        (check_complex, ("P", -2, 2)), (check_exactness, ("P", 0, 1)),
+                        (check_exactness, ("koszul", 2, 0))):
+        with pytest.raises(ValueError, match="chains need n >= 1 and r >= 1"):
+            check(*args)
 
 
 def test_check_complex_families():

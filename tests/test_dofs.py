@@ -9,11 +9,6 @@ from feforms.dofs import (
     apply,
     dof_matrix,
     dofs_for,
-    dofs_lagrange,
-    dofs_P,
-    dofs_Pminus,
-    dofs_Qminus,
-    dofs_S,
     reference_faces,
     unisolvence_check,
     trace_moment_vanishing_check,
@@ -48,44 +43,42 @@ def test_reference_faces_box():
 
 
 def test_lagrange_quartic_counts():
-    dofset = dofs_lagrange(4, 3)
+    dofset = dofs_for(make_spec("P", 3, 4, 0))
     assert counts_by_dim(dofset) == {0: 4, 1: 6 * 3, 2: 4 * 3, 3: 1}
     assert len(dofset.functionals) == 35
 
 
 def test_lagrange_linear_and_interval():
-    assert counts_by_dim(dofs_lagrange(1, 2)) == {0: 3}
-    assert counts_by_dim(dofs_lagrange(2, 1)) == {0: 2, 1: 1}
+    assert counts_by_dim(dofs_for(make_spec("P", 2, 1, 0))) == {0: 3}
+    assert counts_by_dim(dofs_for(make_spec("P", 1, 2, 0))) == {0: 2, 1: 1}
 
 
 def test_dofs_Pminus_counts():
-    assert counts_by_dim(dofs_Pminus(1, 1, 3)) == {1: 6}
-    assert counts_by_dim(dofs_Pminus(2, 1, 2)) == {1: 6, 2: 2}
-    assert counts_by_dim(dofs_Pminus(1, 0, 2)) == {0: 3}
+    assert counts_by_dim(dofs_for(make_spec("Pminus", 3, 1, 1))) == {1: 6}
+    assert counts_by_dim(dofs_for(make_spec("Pminus", 2, 2, 1))) == {1: 6, 2: 2}
+    assert counts_by_dim(dofs_for(make_spec("Pminus", 2, 1, 0))) == {0: 3}
 
 
 def test_dofs_P_counts():
-    assert counts_by_dim(dofs_P(1, 1, 2)) == {1: 6}
+    assert counts_by_dim(dofs_for(make_spec("P", 2, 1, 1))) == {1: 6}
     # interior only: weights run over the degree-1 trimmed 0-form space,
     # so the count matches dim P_1 Lambda^2 = 3
-    assert counts_by_dim(dofs_P(1, 2, 2)) == {2: 3}
-    # 0-form weights coincide with the direct construction
-    lag = dofs_lagrange(3, 2)
-    prule = dofs_P(3, 0, 2)
-    assert counts_by_dim(lag) == counts_by_dim(prule)
+    assert counts_by_dim(dofs_for(make_spec("P", 2, 1, 2))) == {2: 3}
+    # 0-forms: the Lagrange vertex values plus edge and interior moments
+    assert counts_by_dim(dofs_for(make_spec("P", 2, 3, 0))) == {0: 3, 1: 6, 2: 1}
 
 
 def test_dofs_S_counts():
-    assert counts_by_dim(dofs_S(2, 0, 2)) == {0: 4, 1: 4}
+    assert counts_by_dim(dofs_for(make_spec("S", 2, 2, 0))) == {0: 4, 1: 4}
     # each edge carries a full degree-r tangential moment space
-    assert counts_by_dim(dofs_S(1, 1, 2)) == {1: 8}
-    assert counts_by_dim(dofs_S(2, 3, 3)) == {3: 10}
+    assert counts_by_dim(dofs_for(make_spec("S", 2, 1, 1))) == {1: 8}
+    assert counts_by_dim(dofs_for(make_spec("S", 3, 2, 3))) == {3: 10}
 
 
 def test_dofs_Qminus_counts():
-    assert counts_by_dim(dofs_Qminus(1, 0, 2)) == {0: 4}
-    assert counts_by_dim(dofs_Qminus(1, 1, 2)) == {1: 4}
-    assert counts_by_dim(dofs_Qminus(2, 3, 3)) == {3: 8}
+    assert counts_by_dim(dofs_for(make_spec("Qminus", 2, 1, 0))) == {0: 4}
+    assert counts_by_dim(dofs_for(make_spec("Qminus", 2, 1, 1))) == {1: 4}
+    assert counts_by_dim(dofs_for(make_spec("Qminus", 3, 2, 3))) == {3: 8}
 
 
 def test_pminus_count_identity():
@@ -102,16 +95,16 @@ def test_pminus_count_identity():
 
 def test_apply_examples():
     # point evaluation of x1 at the vertex e1
-    dofset = dofs_lagrange(1, 2)
+    dofset = dofs_for(make_spec("P", 2, 1, 0))
     u = PolyForm.from_polynomial(Polynomial.variable(2, 1))
     vertex_values = [apply(phi, u) for phi in dofset.functionals]
     assert vertex_values == [0, 1, 0]
     # edge moment of dx1 along the edge from the origin to e1
-    dofset = dofs_Pminus(1, 1, 2)
+    dofset = dofs_for(make_spec("Pminus", 2, 1, 1))
     edge01 = [phi for phi in dofset.functionals if phi.face.label == (0, 1)][0]
     assert apply(edge01, PolyForm.dx(2, 1)) == 1
     # interior moment of the volume form against q = 1
-    dofset = dofs_Pminus(1, 2, 2)
+    dofset = dofs_for(make_spec("Pminus", 2, 1, 2))
     interior = dofset.functionals[-1]
     assert interior.face.dim == 2
     assert apply(interior, PolyForm.monomial(2, (0, 0), (1, 2))) == Fraction(1, 2)
@@ -123,7 +116,7 @@ def test_lagrange_linear_matrix_is_identity():
     from feforms.forms import std_simplex_vertices
     sys = barycentric(std_simplex_vertices(2))
     forms = [PolyForm.from_polynomial(lam) for lam in sys.lambdas]
-    mat = dof_matrix(forms, dofs_lagrange(1, 2))
+    mat = dof_matrix(forms, dofs_for(make_spec("P", 2, 1, 0)))
     assert mat == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
 
 
@@ -154,7 +147,7 @@ def test_unisolvence_report_shape():
 
 def test_weight_space_trace_pairing_vanishes():
     """A form with zero trace on a face kills that face's functionals."""
-    dofset = dofs_Pminus(2, 1, 2)
+    dofset = dofs_for(make_spec("Pminus", 2, 2, 1))
     lam = PolyForm.from_polynomial(
         Polynomial.variable(2, 2))  # vanishes on the edge x2 = 0
     u = lam.wedge(PolyForm.zero(2, 0) + PolyForm.dx(2, 1))  # x2 dx1
@@ -194,8 +187,8 @@ def test_trace_moment_vanishing():
 
 
 def test_lagrange_coincides_with_pminus_zero_forms():
-    lag = dofs_lagrange(2, 2)
-    pm = dofs_Pminus(2, 0, 2)
+    lag = dofs_for(make_spec("P", 2, 2, 0))
+    pm = dofs_for(make_spec("Pminus", 2, 2, 0))
     basis = basis_for(make_spec("P", 2, 2, 0))
     m1 = dof_matrix(basis.forms, lag)
     m2 = dof_matrix(basis.forms, pm)

@@ -22,7 +22,6 @@ from feforms.forms import (
     pullback,
     std_simplex_facets,
     std_simplex_vertices,
-    trace_to_face,
     translate,
     unit_box_facets,
     wedge,
@@ -244,11 +243,11 @@ def test_trace_examples():
     # restriction of x1 to the edge x2 = 0 of the unit triangle is t
     edge = AffineEmbedding([[1], [0]], [0, 0])
     u = PolyForm.from_polynomial(Polynomial.variable(2, 1))
-    assert trace_to_face(u, edge) == PolyForm.from_polynomial(
+    assert pullback(u, edge) == PolyForm.from_polynomial(
         Polynomial.variable(1, 1))
-    assert trace_to_face(PolyForm.dx(2, 2), edge).is_zero
+    assert pullback(PolyForm.dx(2, 2), edge).is_zero
     two = PolyForm.monomial(2, (0, 0), (1, 2))
-    assert trace_to_face(two, edge).is_zero  # a 2-form dies on a 1-face
+    assert pullback(two, edge).is_zero  # a 2-form dies on a 1-face
 
 
 def test_nested_traces():

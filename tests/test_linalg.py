@@ -62,17 +62,3 @@ def test_is_nonsingular_random_vs_rank():
         a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(n)] for _ in range(n)]
         assert linalg.is_nonsingular(a) == (linalg.rank(a) == n)
-
-
-def test_nullspace():
-    rows = [[Fraction(1), Fraction(1), Fraction(0)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
-    basis = linalg.nullspace(rows, 3)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in rows:
-        assert sum(r * x for r, x in zip(row, v)) == 0
-
-
-def test_nullspace_full():
-    assert len(linalg.nullspace([], 3)) == 3

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from feforms import mesh_assembly as ma
 from feforms.forms import PolyForm, exterior_derivative, form_to_string
 from feforms.polynomial import Polynomial, barycentric
-from feforms.verify import commuting_inputs
+from feforms.spaces import monomial_forms
 from oracles import conformity_verdict, integer_simplices, pair_conforms
 
 
@@ -29,6 +30,14 @@ def test_read_mesh_roundtrip(tmp_path):
 def test_read_mesh_missing_key():
     with pytest.raises(ma.MeshError):
         ma.read_mesh({"kind": "simplicial", "n": 2})
+
+
+def test_sample_mesh_files_match_the_builders():
+    paths = sorted((Path(__file__).parent.parent / "meshes").glob("*.json"))
+    assert [p.stem for p in paths] == sorted(ma.SAMPLE_MESHES)
+    for path in paths:
+        assert (ma.read_mesh(str(path)).to_json_dict()
+                == ma.SAMPLE_MESHES[path.stem]().to_json_dict()), path.name
 
 
 def test_two_triangle_square_faces():
@@ -213,7 +222,7 @@ def test_commuting_missing_level():
 
 def test_commuting_all_monomials_small():
     mesh = ma.two_triangle_square()
-    for u in commuting_inputs(2, 0, 2):
+    for u in monomial_forms(2, 0, 2):
         assert ma.check_commuting(mesh, "Pminus", 1, u).passed
 
 
@@ -339,9 +348,8 @@ def test_moved_vertex_breaks_conformity(n, offset):
 
 
 def assert_facet_certificate_sound(vertices, elements):
-    scaled = integer_simplices(vertices, elements)
-    assume(scaled is not None)
-    ints, int_planes = scaled
+    int_planes = integer_simplices(vertices, elements)
+    assume(int_planes is not None)
     planes = [[ma._affine_parts(lam)
                for lam in barycentric([vertices[i] for i in e]).lambdas]
               for e in elements]
@@ -350,7 +358,7 @@ def assert_facet_certificate_sound(vertices, elements):
         shared = set(ea) & set(eb)
         if (ma._facet_separates(planes[a], eb, shared, vertices)
                 or ma._facet_separates(planes[b], ea, shared, vertices)):
-            assert pair_conforms(ints, int_planes[a], int_planes[b], ea, eb)
+            assert pair_conforms(int_planes[a], int_planes[b], ea, eb)
 
 
 @settings(max_examples=25, deadline=None)

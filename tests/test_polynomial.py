@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from feforms.forms import AffineEmbedding
 from feforms.polynomial import (
     DegenerateSimplexError,
     NEG_INF,
@@ -116,15 +117,15 @@ def test_evaluate():
 def test_compose_affine():
     # p = x1 + x2 along the segment t -> (t, 1 - t) is the constant 1
     p = x(2, 1) + x(2, 2)
-    q = p.compose_affine([[1], [-1]], [0, 1])
+    q = AffineEmbedding([[1], [-1]], [0, 1]).substitute(p)
     assert q == Polynomial.constant(1, 1)
     # identity substitution
     p2 = Polynomial.monomial(2, (2, 1), 5)
-    ident = p2.compose_affine([[1, 0], [0, 1]], [0, 0])
+    ident = AffineEmbedding.identity(2).substitute(p2)
     assert ident == p2
     # (x1)^2 with x1 = 2t gives 4 t^2
     sq = Polynomial.monomial(1, (2,))
-    assert sq.compose_affine([[2]], [0]) == Polynomial.monomial(1, (2,), 4)
+    assert AffineEmbedding([[2]], [0]).substitute(sq) == Polynomial.monomial(1, (2,), 4)
 
 
 def test_antiderivative_inverts_partial():

@@ -22,6 +22,7 @@ from feforms.spaces import (
     basis_Pminus,
     basis_Qminus,
     basis_S,
+    basis_for,
     describe,
     dimension,
     dimension_P,
@@ -133,14 +134,12 @@ def test_dimension_methods_agree():
             for r in (1, 2, 3):
                 for k in range(n + 1):
                     spec = make_spec(family, n, r, k)
-                    assert dimension(spec, "formula") == dimension(spec, "rank")
+                    assert dimension(spec) == basis_for(spec).dim
 
 
 def test_dimension_S_needs_rank():
     spec = make_spec("S", 2, 2, 1)
-    with pytest.raises(ValueError):
-        dimension(spec, "formula")
-    assert dimension(spec, "rank") == 14
+    assert dimension(spec) == basis_for(spec).dim == 14
 
 
 def test_dimension_ratio_identity():

@@ -2,6 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from feforms import complexes, dofs, forms, mesh_assembly, spaces, tables, verify
 from feforms.cli import run
 
@@ -53,7 +55,7 @@ def test_assembly_certificate_fails_on_dropped_edge_weight(monkeypatch):
 
 
 def test_commuting_inputs_enumeration():
-    forms = verify.commuting_inputs(2, 1, 1)
+    forms = spaces.monomial_forms(2, 1, 1)
     # two alternators, three monomials of degree <= 1 each
     assert len(forms) == 6
     assert all(f.k == 1 for f in forms)
@@ -86,6 +88,39 @@ def test_homotopy_certificate_fails_on_flipped_koszul_sign(monkeypatch):
     cert = complexes.check_homotopy(2, 1, 1)
     assert cert.verdict == "fail"
     assert len(cert.witness["failures"]) == cert.witness["basis_size"] > 0
+
+
+def dropping_first_component(operator):
+    """`operator` with the first component of each result dropped."""
+    def broken(u):
+        v = operator(u)
+        comps = dict(v.components)
+        if comps:
+            del comps[min(comps)]
+        return forms.PolyForm(v.n, v.k, comps)
+    return broken
+
+
+@pytest.mark.parametrize("kind, name, failing", [
+    ("P", "exterior_derivative",
+     {"kernel_at_0_is_constants", "exact_at_1", "exact_at_2"}),
+    ("koszul", "koszul", {"exact_at_1", "level0_misses_constants_only"})])
+def test_exactness_certificate_fails_on_dropped_component(monkeypatch, kind, name,
+                                                          failing):
+    assert complexes.check_exactness(kind, 2, 3).passed
+    monkeypatch.setattr(complexes, name, dropping_first_component(getattr(forms, name)))
+    cert = complexes.check_exactness(kind, 2, 3)
+    assert cert.verdict == "fail"
+    assert {c for c, ok in cert.witness["conditions"].items() if not ok} == failing
+
+
+def test_direct_sum_certificate_fails_on_dropped_component(monkeypatch):
+    assert complexes.check_direct_sum(2, 1, 1).passed
+    monkeypatch.setattr(complexes, "exterior_derivative",
+                        dropping_first_component(forms.exterior_derivative))
+    cert = complexes.check_direct_sum(2, 1, 1)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"dim": 4, "rank_kappa": 1, "rank_d": 1, "rank_union": 2}
 
 
 def test_verify_all_reports_match_recorded_digests(tmp_path, capsys):
