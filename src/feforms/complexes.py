@@ -79,19 +79,9 @@ def chain_degrees(family: str, r: int, n: int) -> list[int | None]:
     Constant degree for the trimmed families, decreasing degree for the
     full and serendipity families; None marks a level with no space.
     """
-    out: list[int | None] = []
-    for k in range(n + 1):
-        if family in ("Pminus", "Qminus"):
-            deg = r
-        else:
-            deg = r - k
-        if family == "P":
-            out.append(deg if deg >= 0 else None)
-        elif family == "S":
-            out.append(deg if deg >= 1 else None)
-        else:
-            out.append(deg)
-    return out
+    lowest = {"P": 0, "S": 1}.get(family)
+    degrees = [r if family in ("Pminus", "Qminus") else r - k for k in range(n + 1)]
+    return [None if lowest is not None and deg < lowest else deg for deg in degrees]
 
 
 def _check_chain_params(n: int, r: int) -> None:

@@ -24,15 +24,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby, product
+from math import lcm
 
 from feforms import linalg, spaces
-from feforms.combinatorics import enumerate_sigma
 from feforms.forms import (
     AffineEmbedding,
     FaceMoments,
     PolyForm,
     box_face_chart,
     pullback,
+    std_simplex_vertices,
 )
 from feforms.spaces import SpaceSpec, monomial_forms
 
@@ -60,22 +61,15 @@ class DofSet:
     functionals: tuple
 
 
-def reference_vertex(n: int, i: int) -> tuple:
-    """Vertex i of the reference simplex: the origin, then e_1 ... e_n."""
-    if i == 0:
-        return (Fraction(0),) * n
-    return tuple(Fraction(int(j == i - 1)) for j in range(n))
-
-
 @lru_cache(maxsize=None)
 def reference_faces(kind: str, n: int) -> tuple[FaceRef, ...]:
     """Canonical face enumeration: dimension ascending, labels lexicographic."""
     out = []
     if kind == "simplex":
+        verts = std_simplex_vertices(n)
         for d in range(n + 1):
             for subset in combinations(range(n + 1), d + 1):
-                emb = AffineEmbedding.from_simplex(
-                    [reference_vertex(n, i) for i in subset])
+                emb = AffineEmbedding.from_simplex([verts[i] for i in subset])
                 out.append(FaceRef(kind, n, d, len(out), subset, emb))
     elif kind == "box":
         for d in range(n + 1):
@@ -99,22 +93,15 @@ def weight_basis(family: str, r: int, k: int, d: int, kind: str) -> tuple[PolyFo
         return tuple(monomial_forms(d, j, s)) if s >= 0 else ()
     if family == "P":
         s = r + k - d
-        if s < 1:
-            return ()
-        return tuple(spaces.basis_Pminus(s, j, d).forms)
+        return spaces.basis_Pminus(s, j, d).forms if s >= 1 else ()
     if family == "S":
         s = r - 2 * j
         return tuple(monomial_forms(d, j, s)) if s >= 0 else ()
     if family == "Qminus":
-        out = []
-        for tau in enumerate_sigma(j, d):
-            inside = set(tau)
-            caps = [r - 2 if (i + 1) in inside else r - 1 for i in range(d)]
-            if any(c < 0 for c in caps):
-                continue
-            for alpha in product(*(range(c + 1) for c in caps)):
-                out.append(PolyForm.monomial(d, alpha, tau))
-        return tuple(out)
+        # per-axis degree <= r-2 on the alternator axes, <= r-1 on the others
+        if r > 1:
+            return spaces.basis_Qminus(r - 1, j, d).forms
+        return tuple(monomial_forms(d, 0, 0)) if j == 0 else ()
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -133,22 +120,39 @@ def apply(phi: DofFunctional, u: PolyForm) -> Fraction:
     return FaceMoments(face.kind)(pullback(u, face.embedding), phi.weight)
 
 
-def dof_matrix(forms, dofset: DofSet) -> list[list[Fraction]]:
-    """M[i][j] = functional i applied to form j.
+def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
+    """M[i][j] = functional i applied to form j, times a positive factor
+    for row i and one for column j: an integer matrix with the rank and
+    zero pattern of the exact one, whose entries `apply` gives.
 
-    Traces are computed once per run of functionals on the same face and
-    reused across that face's weights.  The moment tables live for this
-    call only; faces of one dimension share their weights, and so their
-    tables.
+    Column j is scaled by the lcm of the coefficient denominators of form
+    j; reference charts have 0/1 entries, so every trace is then integral.
+    Row i is scaled by the lcm of the denominators of its weight's moments
+    over the trace monomials of its face.  Traces are computed once per
+    face, and the moment tables live for this call only.
     """
-    forms = list(getattr(forms, "forms", forms))
+    forms = [_clear_denominators(f) for f in getattr(forms, "forms", forms)]
+    if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in forms):
+        raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
     moments = FaceMoments(dofset.spec.element)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
-        traces = [pullback(f, face.embedding) for f in forms]
+        traces = [pullback(f, face.embedding).coefficient_dict() for f in forms]
+        if any(c.denominator != 1 for tr in traces for c in tr.values()):
+            raise ValueError(f"a trace on face {face.label} is not integral")
+        traces = [[(key, c.numerator) for key, c in tr.items()] for tr in traces]
+        keys = list({key for tr in traces for key, _ in tr})
         for phi in group:
-            rows.append([moments(tr, phi.weight) for tr in traces])
+            if (phi.weight.n, phi.weight.k) != (face.dim, face.dim - dofset.spec.k):
+                raise ValueError(f"weight {phi.weight} does not fit face {face.label}")
+            m, _ = moments.scaled(phi.weight, keys)
+            rows.append([sum([c * m[key] for key, c in tr]) for tr in traces])
     return rows
+
+
+def _clear_denominators(f: PolyForm) -> PolyForm:
+    den = lcm(*[c.denominator for a in f.components.values() for c in a.terms.values()])
+    return f if den == 1 else f * den
 
 
 def per_face_counts(spec: SpaceSpec) -> list[dict]:

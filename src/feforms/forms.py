@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
+from operator import add
 
-from feforms.combinatorics import check_sigma, enumerate_sigma, merge, merge_sign
+from feforms.combinatorics import check_sigma, complement, enumerate_sigma, merge, merge_sign
 from feforms.polynomial import (
     DegenerateSimplexError,
     NEG_INF,
@@ -245,11 +246,12 @@ class AffineEmbedding:
 
     Caches substitution powers and alternator minors, so reusing one
     embedding across many pullbacks (as the degree-of-freedom machinery
-    does) stays cheap.
+    does) stays cheap, and so does deciding, once, whether the map is a
+    coordinate injection (`_coordinate_axes`).
     """
 
     __slots__ = ("source_dim", "target_dim", "matrix", "offset",
-                 "_powers", "_minors", "_images")
+                 "_powers", "_minors", "_images", "_coords")
 
     def __init__(self, matrix, offset):
         matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
@@ -267,6 +269,7 @@ class AffineEmbedding:
         self._powers: dict = {}
         self._minors: dict = {}
         self._images = None
+        self._coords = _coordinate_axes(matrix, offset, m)
 
     @classmethod
     def identity(cls, n: int) -> "AffineEmbedding":
@@ -275,9 +278,7 @@ class AffineEmbedding:
 
     @classmethod
     def translation(cls, shift) -> "AffineEmbedding":
-        n = len(shift)
-        e = cls.identity(n)
-        return cls(e.matrix, tuple(Fraction(v) for v in shift))
+        return cls(cls.identity(len(shift)).matrix, shift)
 
     @classmethod
     def from_simplex(cls, vertices) -> "AffineEmbedding":
@@ -367,6 +368,43 @@ def _det(rows) -> Fraction:
     return total
 
 
+def _coordinate_axes(matrix, offset, m: int):
+    """(source, free, zeros) when each image axis is the next source axis
+    (offset 0) or fixed at 0 or 1, as on box faces, vertices and the
+    reference-simplex faces through the origin; else None.  `source` maps free image axes to
+    source axes, 1-based; `free` and `zeros` list the free image axes and
+    those fixed at 0 as exponent positions."""
+    free, zeros = [], []
+    for i, (row, c) in enumerate(zip(matrix, offset)):
+        if not any(row) and c in (0, 1):
+            if c == 0:
+                zeros.append(i)
+        elif c == 0 and row == tuple(int(j == len(free)) for j in range(m)):
+            free.append(i)
+        else:
+            return None
+    if len(free) != m:
+        return None
+    return {t + 1: j + 1 for j, t in enumerate(free)}, tuple(free), tuple(zeros)
+
+
+def _restrict(u: PolyForm, source: dict, free: tuple, zeros: tuple) -> PolyForm:
+    """Pullback through a coordinate injection, by reindexing alone: drop
+    the components whose dx uses a fixed axis and the monomials in an axis
+    fixed at 0, and set the axes fixed at 1 to 1."""
+    comps: dict = {}
+    for sigma, a in u.components.items():
+        if all(s in source for s in sigma):
+            terms: dict = {}
+            for alpha, c in a.terms.items():
+                if not any(alpha[i] for i in zeros):
+                    beta = tuple([alpha[i] for i in free])
+                    terms[beta] = terms[beta] + c if beta in terms else c
+            comps[tuple(source[s] for s in sigma)] = Polynomial._of(
+                len(free), {b: c for b, c in terms.items() if c})
+    return PolyForm._of(len(free), u.k, comps)
+
+
 def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
     """Pullback of a k-form on the target through the affine map f.
 
@@ -380,6 +418,8 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
     k = u.k
     if k > m:
         return PolyForm.zero(m, k)
+    if f._coords is not None:
+        return _restrict(u, *f._coords)
     taus = enumerate_sigma(k, m)
     comps: dict = {}
     for sigma, a in u.components.items():
@@ -484,7 +524,8 @@ class FaceMoments:
     `kind`; tr is a k-form and q a (d-k)-form on R^d.  Per weight q, a
     table maps each trace monomial (tau, alpha) to the moment of
     x^alpha dx^tau against q, filled on first use from the closed monomial
-    integral.  A moment is then a sparse dot product over the terms of tr:
+    integral.  A moment is then a sparse dot product over the terms of tr,
+    summed over integers on the lcm of the entries it reads (`scaled`):
     no wedge product is formed.  On R^0 the empty monomial integrates to 1,
     which is point evaluation, so vertices need no special case.
 
@@ -506,73 +547,52 @@ class FaceMoments:
         if q.n != d or tr.k + q.k != d:
             raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
                              f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
+        terms = tr.coefficient_dict()
+        den = lcm(*[c.denominator for c in terms.values()])
+        m, scale = self.scaled(q, list(terms))
+        return Fraction(sum([c.numerator * (den // c.denominator) * m[key]
+                             for key, c in terms.items()]), den * scale)
+
+    def scaled(self, q: PolyForm, keys: list) -> tuple[dict, int]:
+        """The moments of q against the monomials (tau, alpha) in `keys` of
+        a (d - q.k)-form trace, as ({key: int}, den): over their lcm."""
         held = self._tables.get(id(q))
         if held is None:
+            # only q's component on the complement of tau pairs with dx^tau;
             # the table holds its weight, so no other object can take its id
-            held = self._tables[id(q)] = (q, {})
-        table = held[1]
-        num, den = 0, 1
-        for tau, a in tr.components.items():
-            for alpha, c in a.terms.items():
-                m = table.get((tau, alpha))
-                if m is None:
-                    m = table[(tau, alpha)] = self._moment(q, tau, alpha)
-                if m:
-                    # num/den += c * m, kept over the least common
-                    # denominator and reduced once at the end
-                    pn = c.numerator * m.numerator
-                    pd = c.denominator * m.denominator
-                    lcm = den // gcd(den, pd) * pd
-                    num = num * (lcm // den) + pn * (lcm // pd)
-                    den = lcm
-        return Fraction(num, den)
+            parts = {}
+            for sigma, b in q.components.items():
+                tau = complement(sigma, q.n)
+                parts[tau] = (merge_sign(tau, sigma), [
+                    (beta, c.numerator, c.denominator) for beta, c in b.terms.items()])
+            held = self._tables[id(q)] = (q, parts, {})
+        _, parts, table = held
+        got = []
+        for key in keys:
+            m = table.get(key)
+            if m is None:
+                m = table[key] = self._moment(parts, *key)
+            got.append(m)
+        den = lcm(*[d for _, d in got])
+        return {key: n * (den // d) for key, (n, d) in zip(keys, got)}, den
 
-    def _moment(self, q: PolyForm, tau, alpha) -> Fraction:
-        """Integral of x^alpha dx^tau ^ q."""
-        total = Fraction(0)
-        for sigma, b in q.components.items():
-            sign = merge_sign(tau, sigma)
-            if not sign:
-                continue
-            for beta, c in b.terms.items():
-                total += sign * c * self._integral(
-                    tuple(x + y for x, y in zip(alpha, beta)))
-        return total
+    def _moment(self, parts: dict, tau, alpha) -> tuple[int, int]:
+        """Integral of x^alpha dx^tau ^ q as a reduced fraction (num, den)."""
+        if tau not in parts:
+            return 0, 1
+        sign, terms = parts[tau]
+        num, den = 0, 1
+        for beta, cn, cd in terms:
+            m = self._integral(tuple(map(add, alpha, beta)))
+            pd = cd * m.denominator
+            num, den = num * pd + sign * cn * m.numerator * den, den * pd
+        g = gcd(num, den)
+        return num // g, den // g
 
 
 def std_simplex_vertices(d: int):
     """Vertices (0, e_1, ..., e_d) of the standard simplex in Q^d."""
-    zero = tuple(Fraction(0) for _ in range(d))
-    verts = [zero]
-    for i in range(d):
-        verts.append(tuple(Fraction(int(j == i)) for j in range(d)))
-    return verts
-
-
-def std_simplex_facets(d: int):
-    """(sign, chart) per boundary facet of the standard d-simplex.
-
-    Facet i omits vertex i and carries the sign (-1)^i, so that the signed
-    facet integrals of a trace add up to the integral of the derivative.
-    """
-    verts = std_simplex_vertices(d)
-    out = []
-    for i in range(d + 1):
-        sub = [v for j, v in enumerate(verts) if j != i]
-        sign = -1 if i % 2 else 1
-        out.append((sign, AffineEmbedding.from_simplex(sub)))
-    return out
-
-
-def unit_box_facets(n: int):
-    """(sign, chart) per facet of the unit box, outward-consistent."""
-    out = []
-    for i in range(1, n + 1):
-        axes = tuple(axis for axis in range(1, n + 1) if axis != i)
-        for side in (0, 1):
-            sign = (1 if side else -1) * (-1 if (i - 1) % 2 else 1)
-            out.append((sign, box_face_chart(n, axes, (side,))))
-    return out
+    return [tuple(Fraction(int(j == i - 1)) for j in range(d)) for i in range(d + 1)]
 
 
 def box_face_chart(n: int, axes, bits) -> AffineEmbedding:

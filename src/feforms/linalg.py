@@ -8,7 +8,9 @@ echelons.  Dense Fraction LU factors handle square solves.
 
 Nonsingularity of a square matrix has a modular shortcut: a determinant
 that is nonzero mod p certifies a nonzero determinant over Q, while an
-inconclusive reduction falls back to exact elimination.
+inconclusive reduction falls back to exact elimination.  The modular pass
+is a sparse elimination on the entries reduced directly mod p, so the
+integer DOF matrices of `dofs.dof_matrix` are decided without a Fraction.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _normalize(row: dict) -> dict:
 
 
 def int_row(row: dict) -> dict:
-    """Rescale a Fraction-valued sparse row to coprime integers."""
+    """Rescale a sparse row of ints or Fractions to coprime integers."""
     denom = 1
     for v in row.values():
         denom = lcm(denom, v.denominator)
@@ -99,53 +101,54 @@ class Echelon:
 
 
 def rank(rows: list) -> int:
-    """Rank of a dense matrix given as lists of Fractions (or ints)."""
+    """Rank of a dense matrix given as lists of ints or Fractions."""
     ech = Echelon()
     for r in rows:
-        ech.add_fractions({j: Fraction(v) for j, v in enumerate(r) if v})
+        ech.add_fractions({j: v for j, v in enumerate(r) if v})
     return ech.rank
 
 
-def _scale_rows_to_int(rows: list) -> list[list[int]]:
-    out = []
-    for r in rows:
-        fr = [Fraction(v) for v in r]
-        denom = 1
-        for v in fr:
-            denom = lcm(denom, v.denominator)
-        out.append([v.numerator * (denom // v.denominator) for v in fr])
-    return out
+def _nonsingular_mod(rows: list, p: int) -> bool:
+    """True when det != 0 mod p; False means inconclusive.
 
+    Ints reduce as they are, Fractions through a cached inverse of their
+    denominator (one divisible by p is inconclusive).  Rows are sparse
+    dicts, and each step pivots on the row with the fewest nonzeros.
+    """
+    inverses = {1: 1}
 
-def _nonsingular_mod_p(rows: list[list[int]], p: int) -> bool:
-    """True when det != 0 mod p; False means inconclusive."""
-    n = len(rows)
-    a = [[v % p for v in r] for r in rows]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
+    def residue(v) -> int:
+        if v.denominator not in inverses:  # pow raises when p divides it
+            inverses[v.denominator] = pow(v.denominator, -1, p)
+        return v.numerator * inverses[v.denominator] % p
+
+    try:
+        active = [{j: w for j, v in enumerate(r) if v and (w := residue(v))}
+                  for r in rows]
+    except ValueError:
+        return False
+    while active:
+        piv = active.pop(min(range(len(active)), key=lambda i: len(active[i])))
+        if not piv:
             return False
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], p - 2, p)
-        arow = a[col]
-        for i in range(col + 1, n):
-            f = a[i][col]
-            if not f:
-                continue
-            f = f * inv % p
-            row = a[i]
-            for j in range(col, n):
-                row[j] = (row[j] - f * arow[j]) % p
+        col = max(piv)
+        inv = pow(piv[col], -1, p)
+        items = list(piv.items())
+        for row in active:
+            if col in row:
+                f = p - row[col] * inv % p
+                get = row.get
+                for c, v in items:
+                    w = (get(c, 0) + f * v) % p
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
     return True
 
 
 def is_nonsingular(rows: list) -> bool:
-    """Exact nonsingularity of a square rational matrix.
+    """Exact nonsingularity of a square matrix of ints or Fractions.
 
     det != 0 mod p implies det != 0 over Q, so the modular pass can only
     certify success; the exact echelon settles the remaining cases.
@@ -155,13 +158,7 @@ def is_nonsingular(rows: list) -> bool:
         return True
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    scaled = _scale_rows_to_int(rows)
-    if _nonsingular_mod_p(scaled, _PRIME):
-        return True
-    ech = Echelon()
-    for r in scaled:
-        ech.add({j: v for j, v in enumerate(r) if v})
-    return ech.rank == n
+    return _nonsingular_mod(rows, _PRIME) or rank(rows) == n
 
 
 class LUFactor:

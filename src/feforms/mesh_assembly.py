@@ -33,8 +33,9 @@ from feforms.forms import (
     exterior_derivative,
     form_to_string,
     pullback,
+    std_simplex_vertices,
 )
-from feforms.dofs import reference_vertex, weight_basis
+from feforms.dofs import weight_basis
 from feforms.polynomial import (
     DegenerateSimplexError,
     barycentric,
@@ -223,8 +224,8 @@ class Mesh:
     def _simplex_face_psi(self, elem, subset) -> AffineEmbedding:
         # map the standard face simplex onto the reference-element face,
         # following the sorted global vertex order of the mesh face
-        points = [reference_vertex(self.n, elem.index(g)) for g in subset]
-        return AffineEmbedding.from_simplex(points)
+        verts = std_simplex_vertices(self.n)
+        return AffineEmbedding.from_simplex([verts[elem.index(g)] for g in subset])
 
     def _box_face(self, elem, axes, bits) -> tuple[tuple, AffineEmbedding]:
         fixed = [ax for ax in range(1, self.n + 1) if ax not in axes]

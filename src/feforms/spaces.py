@@ -21,6 +21,7 @@ Construction is memoized per spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -33,11 +34,13 @@ from feforms.forms import (
     koszul,
     ldeg,
 )
+from feforms.polynomial import Polynomial
 
 PUBLIC_FAMILIES = ("P", "Pminus", "Qminus", "S")
 _INTERNAL_FAMILIES = ("H", "Hrl", "J")
 SIMPLEX_FAMILIES = ("P", "Pminus")
 BOX_FAMILIES = ("Qminus", "S")
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,17 @@ def spans_equal(forms_a, forms_b) -> bool:
     return ra == rb == span_rank(forms_a + forms_b)
 
 
+def _monomial_form(n: int, alpha: tuple, sigma: tuple) -> PolyForm:
+    """x^alpha dx^sigma through the trusted constructors: alpha must be a
+    length-n exponent tuple and sigma an increasing tuple in 1..n."""
+    return PolyForm._of(n, len(sigma), {sigma: Polynomial._of(n, {alpha: _ONE})})
+
+
 def monomial_forms(n: int, k: int, max_degree: int) -> list[PolyForm]:
     """Monomial k-forms of coefficient degree <= max_degree, (sigma, alpha) lex."""
     if k < 0 or k > n or max_degree < 0:
         return []
-    return [PolyForm.monomial(n, alpha, sigma)
+    return [_monomial_form(n, alpha, sigma)
             for sigma in enumerate_sigma(k, n)
             for alpha in multiindices(n, max_degree)]
 
@@ -172,13 +181,8 @@ def basis_P(r: int, k: int, n: int) -> SpaceBasis:
 @lru_cache(maxsize=None)
 def basis_H(r: int, k: int, n: int) -> SpaceBasis:
     """Forms with homogeneous degree-r coefficients."""
-    if k > n or r < 0:
-        forms = []
-    else:
-        forms = [PolyForm.monomial(n, alpha, sigma)
-                 for sigma in enumerate_sigma(k, n)
-                 for alpha in multiindices_exact(n, r)]
-    return SpaceBasis(SpaceSpec("H", n, max(r, 0), min(k, n), "simplex"), forms)
+    spec = SpaceSpec("H", n, max(r, 0), min(k, n), "simplex")
+    return SpaceBasis(spec, basis_Hrl(r, 0, k, n).forms)
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +193,7 @@ def basis_Hrl(r: int, l: int, k: int, n: int) -> SpaceBasis:
     if k > n or r < 0:
         forms = []
     else:
-        forms = [PolyForm.monomial(n, alpha, sigma)
+        forms = [_monomial_form(n, alpha, sigma)
                  for sigma in enumerate_sigma(k, n)
                  for alpha in multiindices_exact(n, r)
                  if ldeg(alpha, sigma) >= l]
@@ -245,7 +249,7 @@ def basis_Qminus(r: int, k: int, n: int) -> SpaceBasis:
         inside = set(sigma)
         caps = [r - 1 if (i + 1) in inside else r for i in range(n)]
         for alpha in product(*(range(c + 1) for c in caps)):
-            forms.append(PolyForm.monomial(n, alpha, sigma))
+            forms.append(_monomial_form(n, alpha, sigma))
     return SpaceBasis(spec, forms)
 
 

@@ -68,58 +68,35 @@ def _homotopy_certificates() -> list[Certificate]:
 
 
 def _exactness_certificates() -> list[Certificate]:
-    certs = []
-    for kind in ("P", "Pminus", "koszul"):
-        for n in range(1, 4):
-            for r in range(1, 5):
-                certs.append(complexes.check_exactness(kind, n, r))
-    for n in range(1, 4):
-        for r in range(1, 5):
-            for k in range(n + 1):
-                certs.append(complexes.check_direct_sum(n, r, k))
-    return certs
+    return ([complexes.check_exactness(kind, n, r) for kind in ("P", "Pminus", "koszul")
+             for n in range(1, 4) for r in range(1, 5)]
+            + [complexes.check_direct_sum(n, r, k) for n in range(1, 4)
+               for r in range(1, 5) for k in range(n + 1)])
 
 
 def _complex_certificates() -> list[Certificate]:
-    certs = []
-    for family, rmax in (("P", 4), ("Pminus", 4), ("Qminus", 3), ("S", 3)):
-        for n in range(1, 4):
-            for r in range(1, rmax + 1):
-                certs.append(complexes.check_complex(family, n, r))
-    return certs
+    return [complexes.check_complex(family, n, r)
+            for family, rmax in (("P", 4), ("Pminus", 4), ("Qminus", 3), ("S", 3))
+            for n in range(1, 4) for r in range(1, rmax + 1)]
 
 
 def _s_property_certificates() -> list[Certificate]:
-    certs = []
-    for n in range(1, 4):
-        for r in range(1, 4):
-            certs.append(complexes.check_S_properties(n, r))
-    for r in range(1, 4):
-        certs.append(complexes.check_S_vector_proxies(r))
-    return certs
+    return ([complexes.check_S_properties(n, r) for n in range(1, 4) for r in range(1, 4)]
+            + [complexes.check_S_vector_proxies(r) for r in range(1, 4)])
 
 
 def _origin_certificates() -> list[Certificate]:
-    certs = []
-    for family in ("Pminus", "S"):
-        for n in range(1, 4):
-            for r in range(1, 4):
-                for k in range(n + 1):
-                    certs.append(complexes.check_origin_independence(family, n, r, k))
-    return certs
+    return [complexes.check_origin_independence(family, n, r, k)
+            for family in ("Pminus", "S") for n in range(1, 4)
+            for r in range(1, 4) for k in range(n + 1)]
 
 
 def _trace_moment_certificates() -> list[Certificate]:
-    certs = []
-    for n in range(1, 4):
-        for r in range(1, 4):
-            for k in range(n + 1):
-                report = dofs.trace_moment_vanishing_check(r, k, n)
-                certs.append(Certificate("trace_moment_vanishing",
-                                         {"n": n, "r": r, "k": k},
-                                         "pass" if report["pass"] else "fail",
-                                         report))
-    return certs
+    reports = [dofs.trace_moment_vanishing_check(r, k, n)
+               for n in range(1, 4) for r in range(1, 4) for k in range(n + 1)]
+    return [Certificate("trace_moment_vanishing",
+                        {"n": rep["n"], "r": rep["r"], "k": rep["k"]},
+                        "pass" if rep["pass"] else "fail", rep) for rep in reports]
 
 
 COMMUTING_CASES = (

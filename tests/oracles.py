@@ -5,6 +5,9 @@ integration over the standard simplex parametrization (innermost variable
 from 0 to one minus the sum of the outer ones), so it shares no formula
 with the factorial-based rule in the package.
 
+The signed facet charts of the standard simplex and the unit box serve
+the Stokes tests.
+
 The conformity oracle checks every pair of simplices, in `combinations`
 order, by enumerating the vertices of their intersection polytope in
 integer arithmetic (Cramer's rule on coordinates scaled to integers); it
@@ -17,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from feforms.forms import AffineEmbedding
+from feforms.forms import AffineEmbedding, box_face_chart, std_simplex_vertices
 from feforms.polynomial import Polynomial
 
 
@@ -41,6 +44,32 @@ def iterated_simplex_integral(p: Polynomial) -> Fraction:
     at_upper = AffineEmbedding(upper_matrix, upper_offset).substitute(anti)
     at_lower = AffineEmbedding(lower_matrix, lower_offset).substitute(anti)
     return iterated_simplex_integral(at_upper - at_lower)
+
+
+def std_simplex_facets(d: int):
+    """(sign, chart) per boundary facet of the standard d-simplex.
+
+    Facet i omits vertex i and carries the sign (-1)^i, so that the signed
+    facet integrals of a trace add up to the integral of the derivative.
+    """
+    verts = std_simplex_vertices(d)
+    out = []
+    for i in range(d + 1):
+        sub = [v for j, v in enumerate(verts) if j != i]
+        sign = -1 if i % 2 else 1
+        out.append((sign, AffineEmbedding.from_simplex(sub)))
+    return out
+
+
+def unit_box_facets(n: int):
+    """(sign, chart) per facet of the unit box, outward-consistent."""
+    out = []
+    for i in range(1, n + 1):
+        axes = tuple(axis for axis in range(1, n + 1) if axis != i)
+        for side in (0, 1):
+            sign = (1 if side else -1) * (-1 if (i - 1) % 2 else 1)
+            out.append((sign, box_face_chart(n, axes, (side,))))
+    return out
 
 
 def brute_force_subsets(items, k):

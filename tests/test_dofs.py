@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
-from feforms import linalg
+from feforms import dofs, linalg
 from feforms.dofs import (
     DofSet,
     apply,
@@ -193,3 +194,50 @@ def test_lagrange_coincides_with_pminus_zero_forms():
     m1 = dof_matrix(basis.forms, lag)
     m2 = dof_matrix(basis.forms, pm)
     assert m1 == m2
+
+
+@pytest.mark.parametrize("family, n, r, k", [
+    ("P", 2, 2, 1), ("Pminus", 3, 2, 1), ("S", 2, 3, 1), ("Qminus", 2, 2, 2),
+    ("P", 1, 3, 0)])
+def test_dof_matrix_is_the_exact_matrix_rescaled(family, n, r, k):
+    """Row i of the integer matrix is the exact row of `apply` times one
+    positive factor, with column j scaled by the lcm of form j's
+    coefficient denominators."""
+    rng = random.Random(family + str((n, r, k)))
+    spec = make_spec(family, n, r, k)
+    basis = basis_for(spec).forms
+    forms = [f * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+             + basis[rng.randrange(len(basis))] * Fraction(1, rng.randint(1, 5))
+             for f in basis]
+    dofset = dofs_for(spec)
+    exact = [[apply(phi, f) for f in forms] for phi in dofset.functionals]
+    got = dof_matrix(forms, dofset)
+    columns = [lcm(*[c.denominator for a in f.components.values()
+                     for c in a.terms.values()]) for f in forms]
+    assert any(c > 1 for c in columns)
+    assert len(got) == len(exact)
+    for row, want in zip(got, exact):
+        assert all(type(v) is int for v in row)
+        assert [v == 0 for v in row] == [w == 0 for w in want]
+        factors = {Fraction(v, c) / w for v, c, w in zip(row, columns, want) if w}
+        assert len(factors) <= 1 and all(f > 0 for f in factors)
+
+
+def test_dof_matrix_rejects_forms_of_another_degree():
+    spec = make_spec("Pminus", 2, 1, 1)
+    with pytest.raises(ValueError):
+        dof_matrix(basis_for(make_spec("P", 2, 1, 0)).forms, dofs_for(spec))
+
+
+def test_trace_moment_vanishing_fails_without_a_moment_weight(monkeypatch):
+    """Dropping one interior weight leaves a form every constraint misses."""
+    real = dofs.monomial_forms
+
+    def one_weight_short(n, k, max_degree):
+        forms = real(n, k, max_degree)
+        return forms[:-1] if k == 0 else forms  # the weights are 0-forms here
+
+    monkeypatch.setattr(dofs, "monomial_forms", one_weight_short)
+    report = trace_moment_vanishing_check(2, 2, 2)
+    assert not report["pass"]
+    assert report["nullity"] > 0

@@ -20,14 +20,12 @@ from feforms.forms import (
     koszul,
     ldeg,
     pullback,
-    std_simplex_facets,
     std_simplex_vertices,
     translate,
-    unit_box_facets,
     wedge,
 )
 from feforms.polynomial import DegenerateSimplexError, Polynomial
-from oracles import iterated_simplex_integral
+from oracles import iterated_simplex_integral, std_simplex_facets, unit_box_facets
 
 
 def rand_form(rng, n, k, deg):
@@ -547,3 +545,55 @@ def test_trusted_arithmetic_drops_cancelled_terms():
     u = PolyForm(2, 1, {(1,): x1 - x2, (2,): x2 * x2 - x1 * x2})
     assert pullback(u, diagonal).components == {}
     assert (x1 - x1).terms == {} and (u - u).components == {}
+
+
+# -- traces through coordinate injections --------------------------------------
+
+
+def general_path(chart: AffineEmbedding) -> AffineEmbedding:
+    """The same map, made to pull back by substitution."""
+    general = AffineEmbedding(chart.matrix, chart.offset)
+    general._coords = None
+    return general
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), kind=st.sampled_from(["simplex", "box"]))
+def test_coordinate_traces_match_the_substitution_path(data, n, kind):
+    from feforms.dofs import reference_faces
+
+    k = data.draw(st.integers(0, n))
+    u = data.draw(random_forms(n, k))
+    substitutions = []
+    substitute = AffineEmbedding.substitute
+    for face in reference_faces(kind, n):
+        # box faces, vertices and the simplex faces through the origin reindex
+        coordinate = kind == "box" or face.label[0] == 0 or face.dim == 0
+        assert (face.embedding._coords is not None) == coordinate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AffineEmbedding, "substitute",
+                       lambda self, p: substitutions.append(p) or substitute(self, p))
+            substitutions.clear()
+            tr = pullback(u, face.embedding)
+        assert not (coordinate and substitutions)
+        assert tr == pullback(u, general_path(face.embedding))
+        assert_invariant(tr)
+
+
+@pytest.mark.parametrize("matrix, offset", [
+    (((0, 1), (1, 0)), (0, 0)),       # free axes out of order
+    (((2, 0), (0, 1)), (0, 0)),       # a scaled axis
+    (((1,), (0,)), (0, 2)),           # an axis fixed at 2
+    (((1,), (0,)), (1, 0)),           # a free axis with an offset
+    (((1,), (1,)), (0, 0)),           # the diagonal
+])
+def test_other_charts_pull_back_by_substitution(matrix, offset, monkeypatch):
+    chart = AffineEmbedding(matrix, offset)
+    assert chart._coords is None
+    calls = []
+    substitute = AffineEmbedding.substitute
+    monkeypatch.setattr(AffineEmbedding, "substitute",
+                        lambda self, p: calls.append(p) or substitute(self, p))
+    u = form_from_string("1/1 x1 x2^2 dx1 + 3/2 x2 dx2", 2, 1)
+    pullback(u, chart)
+    assert calls

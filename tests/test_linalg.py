@@ -62,3 +62,52 @@ def test_is_nonsingular_random_vs_rank():
         a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(n)] for _ in range(n)]
         assert linalg.is_nonsingular(a) == (linalg.rank(a) == n)
+
+
+P31 = 2**31 - 1  # the modulus of the modular pass
+
+
+@pytest.fixture
+def exact_runs(monkeypatch):
+    """Counts the exact eliminations that `is_nonsingular` falls back to."""
+    runs = []
+
+    class Counting(linalg.Echelon):
+        def __init__(self):
+            super().__init__()
+            runs.append(1)
+
+    monkeypatch.setattr(linalg, "Echelon", Counting)
+    return runs
+
+
+@pytest.mark.parametrize("rows", [
+    [[P31, 0], [0, 1]],
+    [[1, 1, 0], [0, 1, 1], [P31 - 1, 0, 1]],  # det = p
+    [[Fraction(1, P31), 0], [0, 1]],          # a denominator p cannot invert
+    [[Fraction(3, 2 * P31), 1], [Fraction(1, P31), 1]],
+])
+def test_is_nonsingular_falls_back_to_exact_when_p_cannot_decide(rows, exact_runs):
+    assert linalg.is_nonsingular(rows)
+    assert exact_runs, "the modular pass cannot certify these"
+
+
+def test_is_nonsingular_singular_with_denominator_p(exact_runs):
+    assert not linalg.is_nonsingular([[Fraction(1, P31), Fraction(2, P31)], [1, 2]])
+    assert exact_runs
+
+
+def test_is_nonsingular_sparse_random_vs_rank(exact_runs):
+    """Small entries keep |det| below p, so every nonsingular matrix here is
+    certified by the modular pass alone."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) if rng.random() < 0.35 else 0 for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[rng.randrange(n)] = [a - 2 * b for a, b in zip(rows[0], rows[-1])]
+        nonsingular = linalg.rank(rows) == n
+        exact_runs.clear()
+        assert linalg.is_nonsingular(rows) == nonsingular
+        assert bool(exact_runs) != nonsingular
