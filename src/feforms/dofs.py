@@ -107,6 +107,9 @@ def weight_basis(family: str, r: int, k: int, d: int, kind: str) -> tuple[PolyFo
 
 @lru_cache(maxsize=None)
 def dofs_for(spec: SpaceSpec) -> DofSet:
+    if spec.family == "P" and spec.r < 1:
+        # no face carries a weight, while P_0 holds the constants
+        raise ValueError("P DOFs need r ≥ 1")
     functionals = []
     for face in reference_faces(spec.element, spec.n):
         for q in weight_basis(spec.family, spec.r, spec.k, face.dim, spec.element):

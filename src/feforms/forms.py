@@ -188,44 +188,56 @@ def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     return PolyForm._of(a.n, k, comps)
 
 
-def exterior_derivative(u: PolyForm) -> PolyForm:
-    """d(a dx^sigma) = sum_j (da/dx^j) dx^j ^ dx^sigma."""
-    n = u.n
+def _form_from_terms(n: int, k: int, terms) -> PolyForm:
+    """Sum (sigma, alpha, c) terms into a k-form on R^n, deleting entries
+    that cancel, so no zero coefficient or empty component is kept."""
     comps: dict = {}
-    for sigma, a in u.components.items():
-        inside = set(sigma)
-        for j in range(1, n + 1):
-            if j in inside:
+    for sigma, alpha, c in terms:
+        got = comps.setdefault(sigma, {})
+        if alpha in got:
+            c += got[alpha]
+            if not c:
+                del got[alpha]
                 continue
-            da = a.partial(j)
-            if da.is_zero:
-                continue
-            sign, merged = merge((j,), sigma)
-            term = da if sign > 0 else -da
-            old = comps.get(merged)
-            comps[merged] = term if old is None else old + term
-    return PolyForm._of(n, u.k + 1, comps)
+        got[alpha] = c
+    return PolyForm._of(n, k, {s: Polynomial._of(n, t) for s, t in comps.items()})
+
+
+def exterior_derivative(u: PolyForm) -> PolyForm:
+    """d(a dx^sigma) = sum_j (da/dx^j) dx^j ^ dx^sigma, on exponent tuples:
+    each term c x^alpha dx^sigma with alpha_j > 0 and j not in sigma sends
+    sign * alpha_j * c to x^(alpha - e_j) dx^(merge(j, sigma)).  No
+    polynomial is differentiated or multiplied."""
+    def terms():
+        for sigma, a in u.components.items():
+            for j in range(1, u.n + 1):
+                sign, merged = merge((j,), sigma)
+                if sign:
+                    for alpha, c in a.terms.items():
+                        if e := alpha[j - 1]:
+                            beta = alpha[:j - 1] + (e - 1,) + alpha[j:]
+                            yield merged, beta, c * (sign * e)
+
+    return _form_from_terms(u.n, u.k + 1, terms())
 
 
 def koszul(u: PolyForm) -> PolyForm:
-    """Contraction with the position field x (based at the origin).
-
-    Takes k-forms to (k-1)-forms, raising coefficient degree by one:
-    a dx^sigma maps to sum_i (-1)^(i-1) a x^(sigma_i) dx^(sigma minus
-    sigma_i).  On 0-forms the contraction is zero.
-    """
+    """Contraction with the position field x (based at the origin), from
+    k-forms to (k-1)-forms, on exponent tuples with no multiplication: each
+    term c x^alpha dx^sigma sends (-1)^(i-1) c to x^(alpha + e_(sigma_i))
+    dx^(sigma minus sigma_i).  On 0-forms the contraction is zero."""
     if u.k == 0:
         return PolyForm.zero(u.n, 0)
-    comps: dict = {}
-    for sigma, a in u.components.items():
-        for pos, s in enumerate(sigma):
-            term = a * Polynomial.variable(u.n, s)
-            if pos % 2:
-                term = -term
-            rest = sigma[:pos] + sigma[pos + 1:]
-            old = comps.get(rest)
-            comps[rest] = term if old is None else old + term
-    return PolyForm._of(u.n, u.k - 1, comps)
+
+    def terms():
+        for sigma, a in u.components.items():
+            for pos, s in enumerate(sigma):
+                rest = sigma[:pos] + sigma[pos + 1:]
+                for alpha, c in a.terms.items():
+                    beta = alpha[:s - 1] + (alpha[s - 1] + 1,) + alpha[s:]
+                    yield rest, beta, -c if pos % 2 else c
+
+    return _form_from_terms(u.n, u.k - 1, terms())
 
 
 def ldeg(alpha, sigma) -> int:
@@ -433,11 +445,6 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
                 old = comps.get(tau)
                 comps[tau] = term if old is None else old + term
     return PolyForm._of(m, k, comps)
-
-
-def translate(u: PolyForm, shift) -> PolyForm:
-    """Substitute x -> x + shift (the pullback through that translation)."""
-    return pullback(u, AffineEmbedding.translation(shift))
 
 
 # -- exact integration -----------------------------------------------------

@@ -143,18 +143,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.n == other.n
                 and self.terms == other.terms)

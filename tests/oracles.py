@@ -5,6 +5,10 @@ integration over the standard simplex parametrization (innermost variable
 from 0 to one minus the sum of the outer ones), so it shares no formula
 with the factorial-based rule in the package.
 
+The exterior derivative and the contraction oracles go through generic
+Polynomial arithmetic (partial derivatives, products with a coordinate),
+the reference for the exponent-level operators in the package.
+
 The signed facet charts of the standard simplex and the unit box serve
 the Stokes tests.
 
@@ -20,7 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from feforms.forms import AffineEmbedding, box_face_chart, std_simplex_vertices
+from feforms.combinatorics import merge
+from feforms.forms import AffineEmbedding, PolyForm, box_face_chart, std_simplex_vertices
 from feforms.polynomial import Polynomial
 
 
@@ -44,6 +49,32 @@ def iterated_simplex_integral(p: Polynomial) -> Fraction:
     at_upper = AffineEmbedding(upper_matrix, upper_offset).substitute(anti)
     at_lower = AffineEmbedding(lower_matrix, lower_offset).substitute(anti)
     return iterated_simplex_integral(at_upper - at_lower)
+
+
+def polynomial_exterior_derivative(u: PolyForm) -> PolyForm:
+    """d(a dx^sigma) = sum_j (da/dx^j) dx^j ^ dx^sigma, by Polynomial.partial."""
+    n = u.n
+    total = PolyForm.zero(n, u.k + 1)
+    for sigma, a in u.components.items():
+        for j in range(1, n + 1):
+            sign, merged = merge((j,), sigma)
+            if sign:
+                total = total + PolyForm(n, u.k + 1, {merged: sign * a.partial(j)})
+    return total
+
+
+def polynomial_koszul(u: PolyForm) -> PolyForm:
+    """sum_i (-1)^(i-1) a x^(sigma_i) dx^(sigma minus sigma_i), by products
+    with Polynomial.variable; zero on 0-forms."""
+    n = u.n
+    if u.k == 0:
+        return PolyForm.zero(n, 0)
+    total = PolyForm.zero(n, u.k - 1)
+    for sigma, a in u.components.items():
+        for pos, s in enumerate(sigma):
+            term = (-1) ** pos * (a * Polynomial.variable(n, s))
+            total = total + PolyForm(n, u.k - 1, {sigma[:pos] + sigma[pos + 1:]: term})
+    return total
 
 
 def std_simplex_facets(d: int):

@@ -42,6 +42,14 @@ def test_unisolvence_verb(capsys):
     assert doc["count_ok"] and doc["determinant_nonzero"]
 
 
+@pytest.mark.parametrize("k", ["0", "2"])
+def test_unisolvence_verb_refuses_P_without_dofs(monkeypatch, capsys, k):
+    # P_0 has no face weights: bad input, not a failed certificate
+    assert main_exit_code(monkeypatch, ["unisolvence", "--family", "P", "--n", "2",
+                                        "--r", "0", "--k", k]) == 2
+    assert "P DOFs need r ≥ 1" in capsys.readouterr().err
+
+
 def test_complex_verb(capsys):
     assert run(["complex", "--family", "Pminus", "--n", "2", "--r", "2"]) == 0
     out = capsys.readouterr().out

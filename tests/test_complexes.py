@@ -15,7 +15,7 @@ from feforms.complexes import (
     check_S_vector_proxies,
     summary_tsv,
 )
-from feforms.forms import PolyForm, exterior_derivative, koszul
+from feforms.forms import AffineEmbedding, PolyForm, exterior_derivative, koszul
 from feforms.spaces import basis_H
 
 
@@ -158,3 +158,13 @@ def test_certificates_deterministic():
     a = check_exactness("Pminus", 2, 2)
     b = check_exactness("Pminus", 2, 2)
     assert a.to_json() == b.to_json()
+
+
+def test_origin_check_builds_one_translation_chart(monkeypatch):
+    # one chart per check, so its substitution power cache serves every form
+    calls = []
+    translation = AffineEmbedding.translation
+    monkeypatch.setattr(AffineEmbedding, "translation", classmethod(
+        lambda cls, shift: calls.append(shift) or translation(shift)))
+    assert check_origin_independence("S", 3, 2, 1).passed
+    assert len(calls) == 1

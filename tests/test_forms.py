@@ -21,11 +21,16 @@ from feforms.forms import (
     ldeg,
     pullback,
     std_simplex_vertices,
-    translate,
     wedge,
 )
 from feforms.polynomial import DegenerateSimplexError, Polynomial
-from oracles import iterated_simplex_integral, std_simplex_facets, unit_box_facets
+from oracles import (
+    iterated_simplex_integral,
+    polynomial_exterior_derivative,
+    polynomial_koszul,
+    std_simplex_facets,
+    unit_box_facets,
+)
 
 
 def rand_form(rng, n, k, deg):
@@ -351,7 +356,7 @@ def test_stokes_box():
 
 def test_translate():
     u = PolyForm.from_polynomial(Polynomial.variable(2, 1))
-    v = translate(u, (1, 0))
+    v = pullback(u, AffineEmbedding.translation((1, 0)))
     assert v.component(()) == Polynomial.variable(2, 1) + 1
 
 
@@ -545,6 +550,36 @@ def test_trusted_arithmetic_drops_cancelled_terms():
     u = PolyForm(2, 1, {(1,): x1 - x2, (2,): x2 * x2 - x1 * x2})
     assert pullback(u, diagonal).components == {}
     assert (x1 - x1).terms == {} and (u - u).components == {}
+
+
+# -- d and the contraction against the polynomial-arithmetic oracles ----------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4))
+def test_d_and_koszul_match_the_polynomial_oracles(data, n):
+    k = data.draw(st.integers(0, n))
+    u = data.draw(random_forms(n, k))
+    du, ku = exterior_derivative(u), koszul(u)
+    assert du == polynomial_exterior_derivative(u) and du.k == k + 1
+    assert ku == polynomial_koszul(u) and ku.k == max(k - 1, 0)
+    # dd = 0 and kk = 0: every entry cancels and none may stay behind
+    assert exterior_derivative(du).components == {}
+    assert koszul(ku).components == {}
+    for v in (du, ku):
+        assert_invariant(v)
+
+
+def test_d_and_koszul_delete_cancelled_entries():
+    closed = form_from_string("1/1 x2 dx1 + 1/1 x1 dx2", 2, 1)  # d(x1 x2)
+    assert exterior_derivative(closed).components == {}
+    u = form_from_string("1/1 x2 dx1^dx3 + -1/1 x1 dx2^dx3", 3, 2)
+    ku = koszul(u)  # the x1 x2 dx3 terms cancel
+    assert ku == form_from_string("-1/1 x2 x3 dx1 + 1/1 x1 x3 dx2", 3, 1)
+    assert set(ku.components) == {(1,), (2,)}
+    assert koszul(ku).components == {}
+    for v in (ku, koszul(ku), exterior_derivative(closed)):
+        assert_invariant(v)
 
 
 # -- traces through coordinate injections --------------------------------------

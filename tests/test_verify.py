@@ -123,6 +123,26 @@ def test_direct_sum_certificate_fails_on_dropped_component(monkeypatch):
     assert cert.witness == {"dim": 4, "rank_kappa": 1, "rank_d": 1, "rank_union": 2}
 
 
+def test_origin_certificate_fails_on_homogeneous_basis(monkeypatch):
+    assert complexes.check_origin_independence("S", 2, 1, 1).passed
+    # homogeneous forms: a translate picks up lower-degree terms outside the span
+    monkeypatch.setattr(complexes, "basis_for",
+                        lambda spec: spaces.basis_H(spec.r, spec.k, spec.n))
+    cert = complexes.check_origin_independence("S", 2, 1, 1)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"dim": spaces.basis_H(1, 1, 2).dim}
+
+
+def test_S_vector_proxy_certificate_fails_on_dropped_basis_form(monkeypatch):
+    assert complexes.check_S_vector_proxies(1).passed
+    basis_S = spaces.basis_S
+    monkeypatch.setattr(complexes, "basis_S", lambda r, k, n: spaces.SpaceBasis(
+        spaces.make_spec("S", n, r, k), basis_S(r, k, n).forms[:-1]))
+    cert = complexes.check_S_vector_proxies(1)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"one_forms_match": False, "two_forms_match": False}
+
+
 def test_verify_all_reports_match_recorded_digests(tmp_path, capsys):
     assert run(["verify-all", "--out", str(tmp_path)]) == 0
     for name, want in REPORT_SHA256.items():
