@@ -18,13 +18,11 @@ from feforms.forms import form_from_string
 from feforms.spaces import PUBLIC_FAMILIES, make_spec
 
 
-def _add_spec_args(p, need_k=True, need_r=True):
+def _add_spec_args(p):
     p.add_argument("--family", required=True, choices=PUBLIC_FAMILIES)
     p.add_argument("--n", required=True, type=int)
-    if need_r:
-        p.add_argument("--r", required=True, type=int)
-    if need_k:
-        p.add_argument("--k", required=True, type=int)
+    p.add_argument("--r", required=True, type=int)
+    p.add_argument("--k", required=True, type=int)
 
 
 def _add_out_args(p, with_format=False):
@@ -95,7 +93,7 @@ def _emit(doc, args) -> None:
         sys.stdout.write(text)
 
 
-def _certs_exit(certs, args, banner=True) -> int:
+def _certs_exit(certs, args) -> int:
     for cert in certs:
         sys.stdout.write(f"{cert.claim}  {json.dumps(cert.params, sort_keys=True)}"
                          f"  {cert.verdict}\n")
@@ -106,8 +104,7 @@ def _certs_exit(certs, args, banner=True) -> int:
             else:
                 handle.write(certificates_to_jsonl(certs))
     ok = all(c.passed for c in certs)
-    if banner:
-        sys.stdout.write("all checks passed\n" if ok else "FAILURES detected\n")
+    sys.stdout.write("all checks passed\n" if ok else "FAILURES detected\n")
     return 0 if ok else 1
 
 
@@ -149,19 +146,13 @@ def run(argv=None) -> int:
 
     if args.verb == "dof-counts":
         spec = make_spec(args.family, args.n, args.r, args.k)
-        counts = dofs.per_face_counts(spec)
         faces = dofs.reference_faces(spec.element, spec.n)
-        per_dim = {d: sum(1 for f in faces if f.dim == d)
-                   for d in range(spec.n + 1)}
         rows = []
-        total = 0
-        for entry in counts:
-            d = entry["d"]
-            subtotal = per_dim[d] * entry["count_per_face"]
-            total += subtotal
-            rows.append({"d": d, "faces": per_dim[d],
-                         "count_per_face": entry["count_per_face"],
-                         "subtotal": subtotal})
+        for entry in dofs.per_face_counts(spec):
+            count = sum(1 for f in faces if f.dim == entry["d"])
+            rows.append(dict(entry, faces=count,
+                             subtotal=count * entry["count_per_face"]))
+        total = sum(row["subtotal"] for row in rows)
         dim = spaces.basis_for(spec).dim
         sys.stdout.write(f"{'d':>2} {'faces':>6} {'per-face':>9} {'subtotal':>9}\n")
         for row in rows:

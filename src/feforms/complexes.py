@@ -27,6 +27,7 @@ from feforms.forms import (
 )
 from feforms.polynomial import Polynomial, rational_to_string, sdeg_exponents
 from feforms.spaces import (
+    FAMILIES,
     basis_for,
     basis_H,
     basis_P,
@@ -77,12 +78,12 @@ def summary_tsv(certs) -> str:
 def chain_degrees(family: str, r: int, n: int) -> list[int | None]:
     """Per-level polynomial degree of the family's derivative chain.
 
-    Constant degree for the trimmed families, decreasing degree for the
-    full and serendipity families; None marks a level with no space.
+    The degree drops by the family's chain drop per level; None marks a
+    level whose degree is below the family's least r.
     """
-    lowest = {"P": 0, "S": 1}.get(family)
-    degrees = [r if family in ("Pminus", "Qminus") else r - k for k in range(n + 1)]
-    return [None if lowest is not None and deg < lowest else deg for deg in degrees]
+    facts = FAMILIES[family]
+    degrees = [r - facts.drop * k for k in range(n + 1)]
+    return [deg if deg >= facts.rmin else None for deg in degrees]
 
 
 def _check_chain_params(n: int, r: int) -> None:

@@ -33,7 +33,7 @@ from feforms.forms import (
     PolyForm,
     box_face_chart,
     pullback,
-    std_simplex_vertices,
+    simplex_face_chart,
 )
 from feforms.spaces import SpaceSpec, monomial_forms
 
@@ -46,6 +46,7 @@ class FaceRef:
     dim: int           # face dimension
     index: int         # position in the canonical enumeration
     label: tuple       # simplex: vertex indices; box: (free axes, fixed bits)
+    corners: tuple     # face vertex positions in the element (box: binary order)
     embedding: AffineEmbedding = field(repr=False)
 
 
@@ -66,24 +67,26 @@ def reference_faces(kind: str, n: int) -> tuple[FaceRef, ...]:
     """Canonical face enumeration: dimension ascending, labels lexicographic."""
     out = []
     if kind == "simplex":
-        verts = std_simplex_vertices(n)
         for d in range(n + 1):
             for subset in combinations(range(n + 1), d + 1):
-                emb = AffineEmbedding.from_simplex([verts[i] for i in subset])
-                out.append(FaceRef(kind, n, d, len(out), subset, emb))
+                emb = simplex_face_chart(n, subset)
+                out.append(FaceRef(kind, n, d, len(out), subset, subset, emb))
     elif kind == "box":
         for d in range(n + 1):
             for axes in combinations(range(1, n + 1), d):
+                fixed = [ax for ax in range(1, n + 1) if ax not in axes]
                 for bits in product((0, 1), repeat=n - d):
+                    corners = tuple(pos for pos in range(2 ** n) if all(
+                        (pos >> (ax - 1)) & 1 == bit for ax, bit in zip(fixed, bits)))
                     emb = box_face_chart(n, axes, bits)
-                    out.append(FaceRef(kind, n, d, len(out), (axes, bits), emb))
+                    out.append(FaceRef(kind, n, d, len(out), (axes, bits), corners, emb))
     else:
         raise ValueError(f"unknown element kind {kind!r}")
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def weight_basis(family: str, r: int, k: int, d: int, kind: str) -> tuple[PolyForm, ...]:
+def weight_basis(family: str, r: int, k: int, d: int) -> tuple[PolyForm, ...]:
     """Weight forms spanning the functionals attached to one d-face."""
     if d < k:
         return ()
@@ -112,7 +115,7 @@ def dofs_for(spec: SpaceSpec) -> DofSet:
         raise ValueError("P DOFs need r ≥ 1")
     functionals = []
     for face in reference_faces(spec.element, spec.n):
-        for q in weight_basis(spec.family, spec.r, spec.k, face.dim, spec.element):
+        for q in weight_basis(spec.family, spec.r, spec.k, face.dim):
             functionals.append(DofFunctional(face, q))
     return DofSet(spec, tuple(functionals))
 
@@ -160,9 +163,8 @@ def _clear_denominators(f: PolyForm) -> PolyForm:
 
 def per_face_counts(spec: SpaceSpec) -> list[dict]:
     """DOF count attached to a single face of each dimension."""
-    return [{"d": d,
-             "count_per_face": len(weight_basis(spec.family, spec.r, spec.k,
-                                                d, spec.element))}
+    dofs_for(spec)  # refuses the specs that carry no DOFs
+    return [{"d": d, "count_per_face": len(weight_basis(spec.family, spec.r, spec.k, d))}
             for d in range(spec.n + 1)]
 
 

@@ -461,18 +461,22 @@ def _std_simplex_monomial_integral(alpha) -> Fraction:
     return Fraction(num, factorial(sum(alpha) + d))
 
 
-def integrate_std_simplex(u: PolyForm) -> Fraction:
-    """Integral of a top-degree form over the standard simplex in R^d."""
+def _integrate_top(u: PolyForm, monomial_integral) -> Fraction:
+    """Integral of a top form on R^d by a closed rule per monomial; on R^0
+    the empty monomial integrates to 1, which is point evaluation."""
     d = u.n
     if u.k != d:
         raise ValueError(f"need a {d}-form on R^{d}, got a {u.k}-form")
-    if d == 0:
-        return u.component(()).evaluate(())
     top = u.component(tuple(range(1, d + 1)))
     total = Fraction(0)
     for alpha, c in top.terms.items():
-        total += c * _std_simplex_monomial_integral(alpha)
+        total += c * monomial_integral(alpha)
     return total
+
+
+def integrate_std_simplex(u: PolyForm) -> Fraction:
+    """Integral of a top-degree form over the standard simplex in R^d."""
+    return _integrate_top(u, _std_simplex_monomial_integral)
 
 
 def integrate_simplex(u: PolyForm, vertices) -> Fraction:
@@ -485,8 +489,6 @@ def integrate_simplex(u: PolyForm, vertices) -> Fraction:
     d = len(verts) - 1
     if u.k != d or u.n != d:
         raise ValueError(f"need a {d}-form on R^{d} for a {d}-simplex")
-    if d == 0:
-        return u.component(()).evaluate(())
     chart = AffineEmbedding.from_simplex(verts)
     if chart.jacobian_det() == 0:
         raise DegenerateSimplexError("simplex vertices are affinely dependent")
@@ -501,20 +503,11 @@ def integrate_box(u: PolyForm, bounds) -> Fraction:
         raise ValueError(f"need an {n}-form on R^{n} for an {n}-box")
     if any(lo >= hi for lo, hi in bounds):
         raise ValueError("box bounds must satisfy lo < hi on every axis")
-    if n == 0:
-        return u.component(()).evaluate(())
-    top = u.component(tuple(range(1, n + 1)))
-    total = Fraction(0)
-    for alpha, c in top.terms.items():
-        v = c
-        for (lo, hi), e in zip(bounds, alpha):
-            v *= (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
-        total += v
-    return total
+    return integrate_unit_box(pullback(u, AffineEmbedding.from_box(bounds)))
 
 
 def integrate_unit_box(u: PolyForm) -> Fraction:
-    return integrate_box(u, [(0, 1)] * u.n)
+    return _integrate_top(u, _unit_box_monomial_integral)
 
 
 def _unit_box_monomial_integral(alpha) -> Fraction:
@@ -600,6 +593,15 @@ class FaceMoments:
 def std_simplex_vertices(d: int):
     """Vertices (0, e_1, ..., e_d) of the standard simplex in Q^d."""
     return [tuple(Fraction(int(j == i - 1)) for j in range(d)) for i in range(d + 1)]
+
+
+@lru_cache(maxsize=None)
+def simplex_face_chart(n: int, positions: tuple) -> AffineEmbedding:
+    """Chart of the standard d-simplex onto the face of the standard
+    n-simplex whose vertices, in order, are (0, e_1, ..., e_n)[positions].
+    Memoized: faces with one vertex order share a chart and its caches."""
+    verts = std_simplex_vertices(n)
+    return AffineEmbedding.from_simplex([verts[i] for i in positions])
 
 
 def box_face_chart(n: int, axes, bits) -> AffineEmbedding:

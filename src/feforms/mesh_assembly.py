@@ -22,20 +22,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 
 from feforms import linalg, spaces
 from feforms.forms import (
     AffineEmbedding,
     FaceMoments,
     PolyForm,
-    box_face_chart,
     exterior_derivative,
     form_to_string,
     pullback,
-    std_simplex_vertices,
+    simplex_face_chart,
 )
-from feforms.dofs import weight_basis
+from feforms.dofs import reference_faces, weight_basis
 from feforms.polynomial import (
     DegenerateSimplexError,
     barycentric,
@@ -197,41 +196,21 @@ class Mesh:
     # -- face enumeration --------------------------------------------------
 
     def faces(self) -> tuple[MeshFace, ...]:
+        """Each element's reference faces, keyed by sorted global ids.  A box
+        face keeps its reference chart, a simplex face follows the ids."""
         if self._faces is None:
-            table: dict[tuple, list] = {}
-            if self.kind == "simplicial":
-                for ei, elem in enumerate(self.elements):
-                    for d in range(self.n + 1):
-                        for subset in combinations(sorted(elem), d + 1):
-                            psi = self._simplex_face_psi(elem, subset)
-                            table.setdefault(subset, []).append((ei, psi))
-            else:
-                for ei, elem in enumerate(self.elements):
-                    for d in range(self.n + 1):
-                        for axes in combinations(range(1, self.n + 1), d):
-                            for bits in product((0, 1), repeat=self.n - d):
-                                ids, psi = self._box_face(elem, axes, bits)
-                                table.setdefault(ids, []).append((ei, psi))
-            faces = []
-            for ids in sorted(table, key=lambda t: (len(t), t)):
-                dim = (len(ids) - 1 if self.kind == "simplicial"
-                       else len(ids).bit_length() - 1)
-                adjacent = tuple(sorted(table[ids], key=lambda p: p[0]))
-                faces.append(MeshFace(dim, ids, adjacent, len(faces)))
-            self._faces = tuple(faces)
+            table: dict[tuple, tuple] = {}
+            for ei, elem in enumerate(self.elements):
+                for ref in reference_faces(self.element_kind, self.n):
+                    order = tuple(sorted(ref.corners, key=elem.__getitem__))
+                    psi = (simplex_face_chart(self.n, order)
+                           if self.kind == "simplicial" else ref.embedding)
+                    ids = tuple(elem[pos] for pos in order)
+                    table.setdefault(ids, (ref.dim, []))[1].append((ei, psi))
+            faces = sorted(table.items(), key=lambda item: (len(item[0]), item[0]))
+            self._faces = tuple(MeshFace(dim, ids, tuple(adjacent), index)
+                                for index, (ids, (dim, adjacent)) in enumerate(faces))
         return self._faces
-
-    def _simplex_face_psi(self, elem, subset) -> AffineEmbedding:
-        # map the standard face simplex onto the reference-element face,
-        # following the sorted global vertex order of the mesh face
-        verts = std_simplex_vertices(self.n)
-        return AffineEmbedding.from_simplex([verts[elem.index(g)] for g in subset])
-
-    def _box_face(self, elem, axes, bits) -> tuple[tuple, AffineEmbedding]:
-        fixed = [ax for ax in range(1, self.n + 1) if ax not in axes]
-        ids = [vid for pos, vid in enumerate(elem)
-               if all((pos >> (ax - 1)) & 1 == bit for ax, bit in zip(fixed, bits))]
-        return tuple(sorted(ids)), box_face_chart(self.n, axes, bits)
 
     # -- serialization ------------------------------------------------------
 
@@ -402,8 +381,7 @@ class GlobalSpace:
         self.dofs: list[GlobalDof] = []
         element_dofs: list[list] = [[] for _ in mesh.elements]
         for face in mesh.faces():
-            weights = weight_basis(family, r, k, face.dim, mesh.element_kind)
-            for q in weights:
+            for q in weight_basis(family, r, k, face.dim):
                 dof = GlobalDof(len(self.dofs), face, q)
                 self.dofs.append(dof)
                 for ei, psi in face.adjacent:
@@ -505,10 +483,7 @@ def assemble(mesh: Mesh, family: str, r: int, k: int) -> GlobalSpace:
 
 def face_sum_dimension(mesh: Mesh, family: str, r: int, k: int) -> int:
     """Sum over mesh faces of the per-face DOF counts."""
-    total = 0
-    for face in mesh.faces():
-        total += len(weight_basis(family, r, k, face.dim, mesh.element_kind))
-    return total
+    return sum(len(weight_basis(family, r, k, face.dim)) for face in mesh.faces())
 
 
 def assembled_dimension_by_rank(space: GlobalSpace) -> int:
@@ -570,16 +545,14 @@ def pieces_to_json_dict(pieces: dict) -> dict:
 def check_commuting(mesh: Mesh, family: str, r: int, u) -> "Certificate":
     """d(projection at level k) equals projection at level k+1 of du.
 
-    `r` is the polynomial degree at the level of u; the next level keeps
-    the degree for the constant-degree families and drops it by one for
-    the decreasing-degree families.
+    `r` is the polynomial degree at the level of u; the next level's
+    degree is lower by the family's chain drop.
     """
     from feforms.complexes import Certificate
 
     k = u.k if isinstance(u, PolyForm) else next(iter(u.values())).k
-    r_next = r if family in ("Pminus", "Qminus") else r - 1
-    rmin = 0 if family == "P" else 1
-    if k + 1 > mesh.n or r_next < max(rmin, 1):
+    r_next = r - spaces.FAMILIES[family].drop
+    if k + 1 > mesh.n or r_next < 1:
         raise MeshError("the next chain level does not exist for these parameters")
     space_k = assemble(mesh, family, r, k)
     space_k1 = assemble(mesh, family, r_next, k + 1)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from feforms import linalg
 from feforms.combinatorics import enumerate_sigma, multiindices, multiindices_exact
@@ -37,10 +38,25 @@ from feforms.forms import (
 from feforms.polynomial import Polynomial
 
 PUBLIC_FAMILIES = ("P", "Pminus", "Qminus", "S")
-_INTERNAL_FAMILIES = ("H", "Hrl", "J")
-SIMPLEX_FAMILIES = ("P", "Pminus")
-BOX_FAMILIES = ("Qminus", "S")
 _ONE = Fraction(1)
+
+
+class Family(NamedTuple):
+    element: str       # reference element, "simplex" or "box"
+    rmin: int          # least r
+    drop: int | None   # degree drop per chain step; None for the graded
+                       # pieces H, Hrl and J, which carry no chain
+
+
+FAMILIES = {
+    "P": Family("simplex", 0, 1),
+    "Pminus": Family("simplex", 1, 0),
+    "Qminus": Family("box", 1, 0),
+    "S": Family("box", 1, 1),
+    "H": Family("simplex", 0, None),
+    "Hrl": Family("simplex", 0, None),
+    "J": Family("box", 1, None),
+}
 
 
 @dataclass(frozen=True)
@@ -49,23 +65,22 @@ class SpaceSpec:
     n: int
     r: int
     k: int
-    element: str
     l: int | None = None
 
     def __post_init__(self):
-        if self.family not in PUBLIC_FAMILIES + _INTERNAL_FAMILIES:
+        facts = FAMILIES.get(self.family)
+        if facts is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.element not in ("simplex", "box"):
-            raise ValueError(f"unknown element kind {self.element!r}")
-        if self.family in SIMPLEX_FAMILIES and self.element != "simplex":
-            raise ValueError(f"family {self.family} lives on simplices")
-        if self.family in BOX_FAMILIES and self.element != "box":
-            raise ValueError(f"family {self.family} lives on boxes")
+        if self.l is not None and self.family != "Hrl":
+            raise ValueError(f"family {self.family} takes no l, got {self.l!r}")
         if self.n < 0 or not 0 <= self.k <= self.n:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-        rmin = 0 if self.family in ("P", "H", "Hrl") else 1
-        if self.r < rmin:
-            raise ValueError(f"family {self.family} needs r >= {rmin}, got {self.r}")
+        if self.r < facts.rmin:
+            raise ValueError(f"family {self.family} needs r >= {facts.rmin}, got {self.r}")
+
+    @property
+    def element(self) -> str:
+        return FAMILIES[self.family].element
 
     def as_dict(self) -> dict:
         out = {"family": self.family, "n": self.n, "r": self.r,
@@ -76,8 +91,7 @@ class SpaceSpec:
 
 
 def make_spec(family: str, n: int, r: int, k: int, l: int | None = None) -> SpaceSpec:
-    element = "box" if family in BOX_FAMILIES + ("J",) else "simplex"
-    return SpaceSpec(family, n, r, k, element, l)
+    return SpaceSpec(family, n, r, k, l)
 
 
 class SpanChecker:
@@ -142,10 +156,7 @@ def select_independent(forms) -> list[PolyForm]:
 
 
 def span_rank(forms) -> int:
-    chk = SpanChecker()
-    for f in forms:
-        chk.add(f)
-    return chk.rank
+    return SpanChecker(forms).rank
 
 
 def spans_equal(forms_a, forms_b) -> bool:
@@ -175,13 +186,13 @@ def monomial_forms(n: int, k: int, max_degree: int) -> list[PolyForm]:
 
 @lru_cache(maxsize=None)
 def basis_P(r: int, k: int, n: int) -> SpaceBasis:
-    return SpaceBasis(SpaceSpec("P", n, r, k, "simplex"), monomial_forms(n, k, r))
+    return SpaceBasis(SpaceSpec("P", n, r, k), monomial_forms(n, k, r))
 
 
 @lru_cache(maxsize=None)
 def basis_H(r: int, k: int, n: int) -> SpaceBasis:
     """Forms with homogeneous degree-r coefficients."""
-    spec = SpaceSpec("H", n, max(r, 0), min(k, n), "simplex")
+    spec = SpaceSpec("H", n, max(r, 0), min(k, n))
     return SpaceBasis(spec, basis_Hrl(r, 0, k, n).forms)
 
 
@@ -197,13 +208,13 @@ def basis_Hrl(r: int, l: int, k: int, n: int) -> SpaceBasis:
                  for sigma in enumerate_sigma(k, n)
                  for alpha in multiindices_exact(n, r)
                  if ldeg(alpha, sigma) >= l]
-    return SpaceBasis(SpaceSpec("Hrl", n, max(r, 0), min(k, n), "simplex", l), forms)
+    return SpaceBasis(SpaceSpec("Hrl", n, max(r, 0), min(k, n), l), forms)
 
 
 @lru_cache(maxsize=None)
 def basis_Pminus(r: int, k: int, n: int) -> SpaceBasis:
     """Basis of P_(r-1) k-forms plus contractions of homogeneous (k+1)-forms."""
-    spec = SpaceSpec("Pminus", n, r, k, "simplex")
+    spec = SpaceSpec("Pminus", n, r, k)
     gens = list(basis_P(r - 1, k, n).forms)
     gens += [koszul(f) for f in basis_H(r - 1, k + 1, n).forms]
     return SpaceBasis(spec, select_independent(gens))
@@ -217,7 +228,7 @@ def basis_J(r: int, k: int, n: int) -> SpaceBasis:
     n - k - 1, so the sum is finite; emptiness of each piece is detected by
     enumeration.
     """
-    spec = SpaceSpec("J", n, r, k, "box")
+    spec = SpaceSpec("J", n, r, k)
     gens: list[PolyForm] = []
     l = 1
     while k + 1 <= n:
@@ -231,7 +242,7 @@ def basis_J(r: int, k: int, n: int) -> SpaceBasis:
 
 @lru_cache(maxsize=None)
 def basis_S(r: int, k: int, n: int) -> SpaceBasis:
-    spec = SpaceSpec("S", n, r, k, "box")
+    spec = SpaceSpec("S", n, r, k)
     gens = list(basis_P(r, k, n).forms)
     gens += list(basis_J(r, k, n).forms)
     if k >= 1:
@@ -242,7 +253,7 @@ def basis_S(r: int, k: int, n: int) -> SpaceBasis:
 @lru_cache(maxsize=None)
 def basis_Qminus(r: int, k: int, n: int) -> SpaceBasis:
     """Tensor-product basis: per-axis degree <= r-1 on alternator axes, <= r off."""
-    spec = SpaceSpec("Qminus", n, r, k, "box")
+    spec = SpaceSpec("Qminus", n, r, k)
     from itertools import product
     forms = []
     for sigma in enumerate_sigma(k, n):
@@ -254,21 +265,9 @@ def basis_Qminus(r: int, k: int, n: int) -> SpaceBasis:
 
 
 def basis_for(spec: SpaceSpec) -> SpaceBasis:
-    if spec.family == "P":
-        return basis_P(spec.r, spec.k, spec.n)
-    if spec.family == "Pminus":
-        return basis_Pminus(spec.r, spec.k, spec.n)
-    if spec.family == "Qminus":
-        return basis_Qminus(spec.r, spec.k, spec.n)
-    if spec.family == "S":
-        return basis_S(spec.r, spec.k, spec.n)
-    if spec.family == "H":
-        return basis_H(spec.r, spec.k, spec.n)
-    if spec.family == "Hrl":
-        return basis_Hrl(spec.r, spec.l, spec.k, spec.n)
-    if spec.family == "J":
-        return basis_J(spec.r, spec.k, spec.n)
-    raise ValueError(f"unknown family {spec.family!r}")
+    build = {"P": basis_P, "Pminus": basis_Pminus,
+             "Qminus": basis_Qminus, "S": basis_S}[spec.family]
+    return build(spec.r, spec.k, spec.n)
 
 
 # -- dimensions --------------------------------------------------------------
@@ -294,13 +293,9 @@ def dimension_Qminus(n: int, r: int, k: int) -> int:
 
 def dimension(spec: SpaceSpec) -> int:
     """Dimension by closed formula where one exists, else by basis rank."""
-    if spec.family == "P":
-        return dimension_P(spec.n, spec.r, spec.k)
-    if spec.family == "Pminus":
-        return dimension_Pminus(spec.n, spec.r, spec.k)
-    if spec.family == "Qminus":
-        return dimension_Qminus(spec.n, spec.r, spec.k)
-    return basis_for(spec).dim
+    formula = {"P": dimension_P, "Pminus": dimension_Pminus,
+               "Qminus": dimension_Qminus}.get(spec.family)
+    return formula(spec.n, spec.r, spec.k) if formula else basis_for(spec).dim
 
 
 def membership(u: PolyForm, spec: SpaceSpec) -> bool:

@@ -9,8 +9,15 @@ The exterior derivative and the contraction oracles go through generic
 Polynomial arithmetic (partial derivatives, products with a coordinate),
 the reference for the exponent-level operators in the package.
 
+The box integration oracle takes antiderivatives in the last variable
+and evaluates them at its two limits, axis by axis, sharing no formula
+with the per-monomial rule in the package.
+
 The signed facet charts of the standard simplex and the unit box serve
 the Stokes tests.
+
+The mesh-face oracle enumerates faces element by element on its own: the
+sorted-id subsets of each simplex, the corner bits of each box.
 
 The conformity oracle checks every pair of simplices, in `combinations`
 order, by enumerating the vertices of their intersection polytope in
@@ -21,7 +28,7 @@ imports nothing from the mesh code.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from feforms.combinatorics import merge
@@ -49,6 +56,19 @@ def iterated_simplex_integral(p: Polynomial) -> Fraction:
     at_upper = AffineEmbedding(upper_matrix, upper_offset).substitute(anti)
     at_lower = AffineEmbedding(lower_matrix, lower_offset).substitute(anti)
     return iterated_simplex_integral(at_upper - at_lower)
+
+
+def iterated_box_integral(p: Polynomial, bounds) -> Fraction:
+    """Integral of p over the box with the given (lo, hi) per axis."""
+    d = p.n
+    if d == 0:
+        return p.evaluate(())
+    anti = p.antiderivative(d)
+    keep = [[Fraction(int(j == i)) for j in range(d - 1)] for i in range(d - 1)]
+    matrix = keep + [[Fraction(0)] * (d - 1)]
+    at_lo, at_hi = (AffineEmbedding(matrix, [Fraction(0)] * (d - 1) + [Fraction(end)])
+                    .substitute(anti) for end in bounds[-1])
+    return iterated_box_integral(at_hi - at_lo, bounds[:-1])
 
 
 def polynomial_exterior_derivative(u: PolyForm) -> PolyForm:
@@ -210,3 +230,36 @@ def conformity_verdict(vertices, elements):
         if not pair_conforms(planes[a], planes[b], ea, eb):
             return ("outside", a, b)
     return "conforming"
+
+
+def mesh_faces(mesh):
+    """(dim, sorted ids, ((element, chart), ...)) per face of the mesh, in
+    mesh-face order: ids ascending by count, then lexicographically.
+
+    Simplex faces are the sorted-id subsets of each element, charted in
+    sorted global order; box faces are picked by the corner bits of each
+    element (bit j of a corner position selects the high end of axis j+1)
+    and keep the chart of the unit-box face.
+    """
+    n = mesh.n
+    verts = std_simplex_vertices(n)
+    table = {}
+    for ei, elem in enumerate(mesh.elements):
+        for d in range(n + 1):
+            if mesh.kind == "simplicial":
+                for ids in combinations(sorted(elem), d + 1):
+                    psi = AffineEmbedding.from_simplex([verts[elem.index(g)] for g in ids])
+                    table.setdefault(ids, []).append((ei, psi))
+                continue
+            for axes in combinations(range(1, n + 1), d):
+                fixed = [ax for ax in range(1, n + 1) if ax not in axes]
+                for bits in product((0, 1), repeat=n - d):
+                    ids = tuple(sorted(
+                        vid for pos, vid in enumerate(elem)
+                        if all((pos >> (ax - 1)) & 1 == bit for ax, bit in zip(fixed, bits))))
+                    table.setdefault(ids, []).append((ei, box_face_chart(n, axes, bits)))
+    out = []
+    for ids in sorted(table, key=lambda t: (len(t), t)):
+        dim = len(ids) - 1 if mesh.kind == "simplicial" else len(ids).bit_length() - 1
+        out.append((dim, ids, tuple(sorted(table[ids], key=lambda pair: pair[0]))))
+    return out

@@ -42,10 +42,12 @@ def test_unisolvence_verb(capsys):
     assert doc["count_ok"] and doc["determinant_nonzero"]
 
 
-@pytest.mark.parametrize("k", ["0", "2"])
-def test_unisolvence_verb_refuses_P_without_dofs(monkeypatch, capsys, k):
+@pytest.mark.parametrize("verb, k", [("unisolvence", "0"), ("unisolvence", "2"),
+                                     ("dof-counts", "0")],
+                         ids=["0", "2", "dof-counts-0"])
+def test_unisolvence_verb_refuses_P_without_dofs(monkeypatch, capsys, verb, k):
     # P_0 has no face weights: bad input, not a failed certificate
-    assert main_exit_code(monkeypatch, ["unisolvence", "--family", "P", "--n", "2",
+    assert main_exit_code(monkeypatch, [verb, "--family", "P", "--n", "2",
                                         "--r", "0", "--k", k]) == 2
     assert "P DOFs need r ≥ 1" in capsys.readouterr().err
 

@@ -16,7 +16,7 @@ from feforms.complexes import (
     summary_tsv,
 )
 from feforms.forms import AffineEmbedding, PolyForm, exterior_derivative, koszul
-from feforms.spaces import basis_H
+from feforms.spaces import PUBLIC_FAMILIES, basis_H
 
 
 def test_chain_degrees():
@@ -24,6 +24,21 @@ def test_chain_degrees():
     assert chain_degrees("P", 2, 3) == [2, 1, 0, None]
     assert chain_degrees("S", 2, 3) == [2, 1, None, None]
     assert chain_degrees("Qminus", 1, 2) == [1, 1, 1]
+
+
+def family_rule_degrees(family, r, n):
+    """The chain degrees by family name: constant for the trimmed families,
+    one lower per level for P (down to 0) and S (down to 1)."""
+    lowest = {"P": 0, "S": 1}.get(family)
+    degrees = [r if family in ("Pminus", "Qminus") else r - k for k in range(n + 1)]
+    return [None if lowest is not None and deg < lowest else deg for deg in degrees]
+
+
+def test_chain_degrees_follow_the_family_table():
+    for family in PUBLIC_FAMILIES:
+        for n in range(5):
+            for r in range(1, 7):
+                assert chain_degrees(family, r, n) == family_rule_degrees(family, r, n)
 
 
 def test_chain_checks_reject_bad_parameters():

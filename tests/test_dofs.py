@@ -89,7 +89,7 @@ def test_pminus_count_identity():
             for k in range(n + 1):
                 total = 0
                 for d in range(k, n + 1):
-                    per = len(weight_basis("Pminus", r, k, d, "simplex"))
+                    per = len(weight_basis("Pminus", r, k, d))
                     total += comb(n + 1, d + 1) * per
                 assert total == comb(n + r, r + k) * comb(r + k - 1, k)
 

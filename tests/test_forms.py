@@ -25,6 +25,7 @@ from feforms.forms import (
 )
 from feforms.polynomial import DegenerateSimplexError, Polynomial
 from oracles import (
+    iterated_box_integral,
     iterated_simplex_integral,
     polynomial_exterior_derivative,
     polynomial_koszul,
@@ -314,6 +315,13 @@ def test_integrate_box_examples():
                          [(0, 2), (0, 1)]) == 2
 
 
+def test_integrators_on_R0_are_point_evaluation():
+    u = PolyForm.monomial(0, (), (), Fraction(-5, 3))
+    assert integrate_std_simplex(u) == integrate_simplex(u, [()]) == Fraction(-5, 3)
+    assert integrate_unit_box(u) == integrate_box(u, []) == Fraction(-5, 3)
+    assert integrate_std_simplex(PolyForm.zero(0, 0)) == 0
+
+
 def test_integrate_box_rejects():
     with pytest.raises(ValueError):
         integrate_box(PolyForm.monomial(2, (0, 0), (1, 2)), [(0, 1), (1, 1)])
@@ -478,7 +486,7 @@ def test_face_moments_match_on_family_weights(family, kind, data):
     k = data.draw(st.integers(0, d))
     r = data.draw(st.integers(1, 3))
     moments = FaceMoments(kind)
-    for q in weight_basis(family, r, k, d, kind):
+    for q in weight_basis(family, r, k, d):
         tr = data.draw(random_forms(d, k))
         assert moments(tr, q) == reference_moment(kind, tr, q)
 
@@ -491,6 +499,20 @@ def test_face_moments_reject_bad_input():
         moments(PolyForm.dx(2, 1), PolyForm.volume(2))  # a 3-form on R^2
     with pytest.raises(ValueError):
         moments(PolyForm.dx(2, 1), PolyForm.dx(3, 2))
+
+
+WIDTHS = st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 3))
+def test_box_integrals_match_iterated_antiderivatives(data, n):
+    u = data.draw(random_forms(n, n))
+    bounds = [(lo, lo + width) for lo, width in
+              data.draw(st.lists(st.tuples(RATIONALS, WIDTHS), min_size=n, max_size=n))]
+    top = u.component(tuple(range(1, n + 1)))
+    assert integrate_box(u, bounds) == iterated_box_integral(top, bounds)
+    assert integrate_unit_box(u) == iterated_box_integral(top, [(0, 1)] * n)
 
 
 def assert_invariant(u: PolyForm):

@@ -12,7 +12,8 @@ from feforms import mesh_assembly as ma
 from feforms.forms import PolyForm, exterior_derivative, form_to_string
 from feforms.polynomial import Polynomial, barycentric
 from feforms.spaces import monomial_forms
-from oracles import conformity_verdict, integer_simplices, pair_conforms
+from feforms.dofs import reference_faces
+from oracles import conformity_verdict, integer_simplices, mesh_faces, pair_conforms
 
 
 def test_read_mesh_roundtrip(tmp_path):
@@ -450,3 +451,57 @@ def test_element_factors_are_shared_by_local_pattern():
                       for dof, psi in local)
                 for local in space.element_dofs}
     assert len(space._lu) == len(patterns) < len(elements)
+
+
+# -- mesh faces from the reference faces -------------------------------------------
+
+
+def box_grid(n, m, rng):
+    """Vertices and elements of the m^n grid of unit boxes, corners in
+    binary order; `rng` permutes the vertex ids and the element order."""
+    coords = list(product(range(m + 1), repeat=n))
+    new_id = list(range(len(coords)))
+    rng.shuffle(new_id)
+    vertices = [None] * len(coords)
+    for old, c in enumerate(coords):
+        vertices[new_id[old]] = c
+    index = {c: new_id[old] for old, c in enumerate(coords)}
+    elements = [tuple(index[tuple(x + ((pos >> ax) & 1) for ax, x in enumerate(cell))]
+                      for pos in range(2 ** n))
+                for cell in product(range(m), repeat=n)]
+    rng.shuffle(elements)
+    return vertices, elements
+
+
+def permuted_grid(kind, n, m, seed):
+    rng = random.Random(seed)
+    if kind == "cubical":
+        return ma.Mesh(kind, n, *box_grid(n, m, rng))
+    vertices, elements = kuhn_grid(n, m, rng)
+    rng.shuffle(elements)
+    return ma.Mesh(kind, n, vertices, elements)
+
+
+FACE_MESHES = dict(ma.SAMPLE_MESHES)
+FACE_MESHES.update({
+    f"{kind}-{n}d-m{m}": (lambda kind=kind, n=n, m=m: permuted_grid(kind, n, m, 10 * n + m))
+    for kind in ("simplicial", "cubical") for n, m in ((2, 1), (2, 2), (2, 3), (3, 2))})
+
+
+@pytest.mark.parametrize("name", sorted(FACE_MESHES))
+def test_mesh_faces_match_element_by_element_enumeration(name):
+    mesh = FACE_MESHES[name]()
+    got, want = mesh.faces(), mesh_faces(mesh)
+    assert [(face.index, face.dim, face.ids) for face in got] == [
+        (index, dim, ids) for index, (dim, ids, _) in enumerate(want)]
+    refs = reference_faces(mesh.element_kind, mesh.n)
+    for face, (_, _, adjacent) in zip(got, want):
+        assert [ei for ei, _ in face.adjacent] == [ei for ei, _ in adjacent]
+        assert [(psi.matrix, psi.offset) for _, psi in face.adjacent] == [
+            (psi.matrix, psi.offset) for _, psi in adjacent]
+        if mesh.kind == "cubical":
+            for _, psi in face.adjacent:
+                ref = next(ref for ref in refs if ref.dim == face.dim and
+                           (ref.embedding.matrix, ref.embedding.offset)
+                           == (psi.matrix, psi.offset))
+                assert psi is ref.embedding

@@ -168,6 +168,14 @@ def test_spec_validation():
         make_spec("nope", 2, 1, 1)
 
 
+def test_element_comes_from_the_family():
+    assert [make_spec(f, 2, 1, 1).element for f in ("P", "Pminus", "Qminus", "S")] == [
+        "simplex", "simplex", "box", "box"]
+    with pytest.raises(ValueError, match="takes no l"):
+        make_spec("P", 2, 1, 1, l=1)
+    assert make_spec("Hrl", 2, 1, 1, l=1).as_dict()["l"] == 1
+
+
 def test_membership():
     assert membership(PolyForm.monomial(2, (0, 1), (1,)), make_spec("P", 2, 1, 1))
     whitney = PolyForm.monomial(2, (1, 0), (2,)) - PolyForm.monomial(2, (0, 1), (1,))

@@ -41,8 +41,8 @@ def test_assembly_certificate_fails_on_dropped_edge_weight(monkeypatch):
     assert verify._assembly_certificates()[0].passed
     weights = mesh_assembly.weight_basis
 
-    def drop_edge_weight(family, r, k, d, kind):
-        got = weights(family, r, k, d, kind)
+    def drop_edge_weight(family, r, k, d):
+        got = weights(family, r, k, d)
         # the last edge weight is dropped and the first repeated in its place
         return got[:1] + got[:-1] if d == 1 else got
 
