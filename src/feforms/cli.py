@@ -15,11 +15,11 @@ import sys
 from feforms import complexes, dofs, mesh_assembly, spaces, tables
 from feforms.complexes import certificates_to_jsonl, summary_tsv
 from feforms.forms import form_from_string
-from feforms.spaces import PUBLIC_FAMILIES, make_spec
+from feforms.spaces import FAMILIES, make_spec
 
 
 def _add_spec_args(p):
-    p.add_argument("--family", required=True, choices=PUBLIC_FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_args(p)
 
     p = sub.add_parser("complex", help="subcomplex and exactness certificates")
-    p.add_argument("--family", required=True, choices=PUBLIC_FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--r", required=True, type=int)
     _add_out_args(p, with_format=True)
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_args(p)
 
     p = sub.add_parser("project", help="project a form onto an assembled space")
-    p.add_argument("--family", required=True, choices=PUBLIC_FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--mesh", required=True, help="mesh JSON path")

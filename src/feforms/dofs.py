@@ -42,9 +42,7 @@ from feforms.spaces import SpaceSpec, monomial_forms
 class FaceRef:
     """One face of a reference element with its chart into the element."""
     kind: str          # "simplex" | "box"
-    n: int             # element dimension
     dim: int           # face dimension
-    index: int         # position in the canonical enumeration
     label: tuple       # simplex: vertex indices; box: (free axes, fixed bits)
     corners: tuple     # face vertex positions in the element (box: binary order)
     embedding: AffineEmbedding = field(repr=False)
@@ -70,7 +68,7 @@ def reference_faces(kind: str, n: int) -> tuple[FaceRef, ...]:
         for d in range(n + 1):
             for subset in combinations(range(n + 1), d + 1):
                 emb = simplex_face_chart(n, subset)
-                out.append(FaceRef(kind, n, d, len(out), subset, subset, emb))
+                out.append(FaceRef(kind, d, subset, subset, emb))
     elif kind == "box":
         for d in range(n + 1):
             for axes in combinations(range(1, n + 1), d):
@@ -79,7 +77,7 @@ def reference_faces(kind: str, n: int) -> tuple[FaceRef, ...]:
                     corners = tuple(pos for pos in range(2 ** n) if all(
                         (pos >> (ax - 1)) & 1 == bit for ax, bit in zip(fixed, bits)))
                     emb = box_face_chart(n, axes, bits)
-                    out.append(FaceRef(kind, n, d, len(out), (axes, bits), corners, emb))
+                    out.append(FaceRef(kind, d, (axes, bits), corners, emb))
     else:
         raise ValueError(f"unknown element kind {kind!r}")
     return tuple(out)
@@ -137,7 +135,7 @@ def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
     over the trace monomials of its face.  Traces are computed once per
     face, and the moment tables live for this call only.
     """
-    forms = [_clear_denominators(f) for f in getattr(forms, "forms", forms)]
+    forms = [_clear_denominators(f) for f in forms]
     if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in forms):
         raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
     moments = FaceMoments(dofset.spec.element)

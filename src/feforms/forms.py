@@ -461,22 +461,22 @@ def _std_simplex_monomial_integral(alpha) -> Fraction:
     return Fraction(num, factorial(sum(alpha) + d))
 
 
-def _integrate_top(u: PolyForm, monomial_integral) -> Fraction:
-    """Integral of a top form on R^d by a closed rule per monomial; on R^0
-    the empty monomial integrates to 1, which is point evaluation."""
-    d = u.n
-    if u.k != d:
-        raise ValueError(f"need a {d}-form on R^{d}, got a {u.k}-form")
-    top = u.component(tuple(range(1, d + 1)))
-    total = Fraction(0)
-    for alpha, c in top.terms.items():
-        total += c * monomial_integral(alpha)
-    return total
+def _unit_box_monomial_integral(alpha) -> Fraction:
+    den = 1
+    for e in alpha:
+        den *= e + 1
+    return Fraction(1, den)
+
+
+# the closed integral of a monomial over the reference face of each kind
+_MONOMIAL_RULES = {"simplex": _std_simplex_monomial_integral,
+                   "box": _unit_box_monomial_integral}
 
 
 def integrate_std_simplex(u: PolyForm) -> Fraction:
-    """Integral of a top-degree form over the standard simplex in R^d."""
-    return _integrate_top(u, _std_simplex_monomial_integral)
+    """Integral of a top form over the standard simplex in R^d: its face
+    moment against the constant 0-form 1."""
+    return FaceMoments("simplex")(u, PolyForm(u.n, 0, {(): 1}))
 
 
 def integrate_simplex(u: PolyForm, vertices) -> Fraction:
@@ -507,14 +507,9 @@ def integrate_box(u: PolyForm, bounds) -> Fraction:
 
 
 def integrate_unit_box(u: PolyForm) -> Fraction:
-    return _integrate_top(u, _unit_box_monomial_integral)
-
-
-def _unit_box_monomial_integral(alpha) -> Fraction:
-    den = 1
-    for e in alpha:
-        den *= e + 1
-    return Fraction(1, den)
+    """Integral of a top form over the unit box in R^d: its face moment
+    against the constant 0-form 1."""
+    return FaceMoments("box")(u, PolyForm(u.n, 0, {(): 1}))
 
 
 class FaceMoments:
@@ -534,11 +529,8 @@ class FaceMoments:
     """
 
     def __init__(self, kind: str):
-        if kind == "simplex":
-            self._integral = _std_simplex_monomial_integral
-        elif kind == "box":
-            self._integral = _unit_box_monomial_integral
-        else:
+        self._integral = _MONOMIAL_RULES.get(kind)
+        if self._integral is None:
             raise ValueError(f"unknown element kind {kind!r}")
         self._tables: dict[int, tuple[PolyForm, dict]] = {}
 

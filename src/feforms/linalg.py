@@ -9,8 +9,9 @@ echelons.  Dense Fraction LU factors handle square solves.
 Nonsingularity of a square matrix has a modular shortcut: a determinant
 that is nonzero mod p certifies a nonzero determinant over Q, while an
 inconclusive reduction falls back to exact elimination.  The modular pass
-is a sparse elimination on the entries reduced directly mod p, so the
-integer DOF matrices of `dofs.dof_matrix` are decided without a Fraction.
+is a sparse elimination on integer entries reduced directly mod p, so the
+integer DOF matrices of `dofs.dof_matrix` are decided without a Fraction;
+a matrix with Fraction entries goes straight to exact elimination.
 """
 
 from __future__ import annotations
@@ -108,25 +109,13 @@ def rank(rows: list) -> int:
     return ech.rank
 
 
-def _nonsingular_mod(rows: list, p: int) -> bool:
+def _nonsingular_mod(rows: list[list[int]], p: int) -> bool:
     """True when det != 0 mod p; False means inconclusive.
 
-    Ints reduce as they are, Fractions through a cached inverse of their
-    denominator (one divisible by p is inconclusive).  Rows are sparse
-    dicts, and each step pivots on the row with the fewest nonzeros.
+    Rows are reduced mod p into sparse dicts, and each step pivots on the
+    row with the fewest nonzeros.
     """
-    inverses = {1: 1}
-
-    def residue(v) -> int:
-        if v.denominator not in inverses:  # pow raises when p divides it
-            inverses[v.denominator] = pow(v.denominator, -1, p)
-        return v.numerator * inverses[v.denominator] % p
-
-    try:
-        active = [{j: w for j, v in enumerate(r) if v and (w := residue(v))}
-                  for r in rows]
-    except ValueError:
-        return False
+    active = [{j: w for j, v in enumerate(r) if v and (w := v % p)} for r in rows]
     while active:
         piv = active.pop(min(range(len(active)), key=lambda i: len(active[i])))
         if not piv:
@@ -158,7 +147,8 @@ def is_nonsingular(rows: list) -> bool:
         return True
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    return _nonsingular_mod(rows, _PRIME) or rank(rows) == n
+    ints = not any(Fraction in set(map(type, r)) for r in rows)
+    return (ints and _nonsingular_mod(rows, _PRIME)) or rank(rows) == n
 
 
 class LUFactor:

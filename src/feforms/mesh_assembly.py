@@ -226,8 +226,6 @@ class Mesh:
 
 def read_mesh(source) -> Mesh:
     """Build a validated mesh from a dict, a JSON string, or a file path."""
-    if isinstance(source, Mesh):
-        return source
     if isinstance(source, dict):
         doc = source
     else:

@@ -205,22 +205,19 @@ class Polynomial:
             return NEG_INF
         return max(sdeg_exponents(a) for a in self.terms)
 
-    def to_string(self, var: str = "x") -> str:
+    def to_string(self) -> str:
         if not self.terms:
             return "0/1"
-        parts = []
-        for a in sorted(self.terms):
-            parts.append(monomial_string(self.terms[a], a, var=var))
-        return " + ".join(parts)
+        return " + ".join(monomial_string(self.terms[a], a) for a in sorted(self.terms))
 
 
-def monomial_string(coeff, alpha, var: str = "x") -> str:
+def monomial_string(coeff, alpha) -> str:
     toks = [rational_to_string(coeff)]
     for i, e in enumerate(alpha):
         if e == 1:
-            toks.append(f"{var}{i + 1}")
+            toks.append(f"x{i + 1}")
         elif e > 1:
-            toks.append(f"{var}{i + 1}^{e}")
+            toks.append(f"x{i + 1}^{e}")
     return " ".join(toks)
 
 

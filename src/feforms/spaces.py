@@ -1,6 +1,6 @@
 """Bases for the polynomial differential form families on reference elements.
 
-Public families (reference simplex conv{0, e_1, ..., e_n}, reference box
+The four families (reference simplex conv{0, e_1, ..., e_n}, reference box
 [0,1]^n):
 
   P       full k-forms with coefficients of degree <= r      (simplex)
@@ -10,12 +10,12 @@ Public families (reference simplex conv{0, e_1, ..., e_n}, reference box
           capped at r-1 on alternator axes and r elsewhere    (box)
   S       serendipity-type family: P_r + J_r + d J_(r+1)      (box)
 
-plus the graded pieces used in the constructions: H (homogeneous forms),
-Hrl (homogeneous forms of linear degree >= l) and J (sums of contractions
-of the Hrl pieces).  A basis of a sum of spaces is produced by feeding the
-generators in a fixed order to an exact echelon and keeping those that
-enlarge the span; all bases are therefore rank-certified at construction.
-Construction is memoized per spec.
+The graded pieces used in the constructions are plain tuples of forms, not
+spaces: H (homogeneous forms), Hrl (homogeneous forms of linear degree >= l)
+and J (sums of contractions of the Hrl pieces).  A basis of a sum of spaces
+is produced by feeding the generators in a fixed order to an exact echelon
+and keeping those that enlarge the span; all bases are therefore
+rank-certified at construction.  Construction is memoized per spec.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ from feforms.forms import (
 )
 from feforms.polynomial import Polynomial
 
-PUBLIC_FAMILIES = ("P", "Pminus", "Qminus", "S")
 _ONE = Fraction(1)
 
 
 class Family(NamedTuple):
-    element: str       # reference element, "simplex" or "box"
-    rmin: int          # least r
-    drop: int | None   # degree drop per chain step; None for the graded
-                       # pieces H, Hrl and J, which carry no chain
+    element: str  # reference element, "simplex" or "box"
+    rmin: int     # least r
+    drop: int     # degree drop per chain step
 
 
 FAMILIES = {
@@ -53,9 +51,6 @@ FAMILIES = {
     "Pminus": Family("simplex", 1, 0),
     "Qminus": Family("box", 1, 0),
     "S": Family("box", 1, 1),
-    "H": Family("simplex", 0, None),
-    "Hrl": Family("simplex", 0, None),
-    "J": Family("box", 1, None),
 }
 
 
@@ -65,14 +60,11 @@ class SpaceSpec:
     n: int
     r: int
     k: int
-    l: int | None = None
 
     def __post_init__(self):
         facts = FAMILIES.get(self.family)
         if facts is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.l is not None and self.family != "Hrl":
-            raise ValueError(f"family {self.family} takes no l, got {self.l!r}")
         if self.n < 0 or not 0 <= self.k <= self.n:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
         if self.r < facts.rmin:
@@ -83,15 +75,12 @@ class SpaceSpec:
         return FAMILIES[self.family].element
 
     def as_dict(self) -> dict:
-        out = {"family": self.family, "n": self.n, "r": self.r,
-               "k": self.k, "element": self.element}
-        if self.l is not None:
-            out["l"] = self.l
-        return out
+        return {"family": self.family, "n": self.n, "r": self.r,
+                "k": self.k, "element": self.element}
 
 
-def make_spec(family: str, n: int, r: int, k: int, l: int | None = None) -> SpaceSpec:
-    return SpaceSpec(family, n, r, k, l)
+def make_spec(family: str, n: int, r: int, k: int) -> SpaceSpec:
+    return SpaceSpec(family, n, r, k)
 
 
 class SpanChecker:
@@ -190,25 +179,21 @@ def basis_P(r: int, k: int, n: int) -> SpaceBasis:
 
 
 @lru_cache(maxsize=None)
-def basis_H(r: int, k: int, n: int) -> SpaceBasis:
+def basis_H(r: int, k: int, n: int) -> tuple[PolyForm, ...]:
     """Forms with homogeneous degree-r coefficients."""
-    spec = SpaceSpec("H", n, max(r, 0), min(k, n))
-    return SpaceBasis(spec, basis_Hrl(r, 0, k, n).forms)
+    return basis_Hrl(r, 0, k, n)
 
 
 @lru_cache(maxsize=None)
-def basis_Hrl(r: int, l: int, k: int, n: int) -> SpaceBasis:
-    """Homogeneous degree-r monomial k-forms of linear degree >= l."""
-    if l < 0:
-        raise ValueError(f"need l >= 0, got {l}")
-    if k > n or r < 0:
-        forms = []
-    else:
-        forms = [_monomial_form(n, alpha, sigma)
+def basis_Hrl(r: int, l: int, k: int, n: int) -> tuple[PolyForm, ...]:
+    """Homogeneous degree-r monomial k-forms of linear degree >= l; none
+    when r < 0 or k > n."""
+    if k > n:
+        return ()
+    return tuple(_monomial_form(n, alpha, sigma)
                  for sigma in enumerate_sigma(k, n)
                  for alpha in multiindices_exact(n, r)
-                 if ldeg(alpha, sigma) >= l]
-    return SpaceBasis(SpaceSpec("Hrl", n, max(r, 0), min(k, n), l), forms)
+                 if ldeg(alpha, sigma) >= l)
 
 
 @lru_cache(maxsize=None)
@@ -216,37 +201,33 @@ def basis_Pminus(r: int, k: int, n: int) -> SpaceBasis:
     """Basis of P_(r-1) k-forms plus contractions of homogeneous (k+1)-forms."""
     spec = SpaceSpec("Pminus", n, r, k)
     gens = list(basis_P(r - 1, k, n).forms)
-    gens += [koszul(f) for f in basis_H(r - 1, k + 1, n).forms]
+    gens += [koszul(f) for f in basis_H(r - 1, k + 1, n)]
     return SpaceBasis(spec, select_independent(gens))
 
 
 @lru_cache(maxsize=None)
-def basis_J(r: int, k: int, n: int) -> SpaceBasis:
+def basis_J(r: int, k: int, n: int) -> tuple[PolyForm, ...]:
     """Sum over l >= 1 of contractions of the (r+l-1, l) homogeneous pieces.
 
     A monomial (k+1)-form in n variables has linear degree at most
     n - k - 1, so the sum is finite; emptiness of each piece is detected by
     enumeration.
     """
-    spec = SpaceSpec("J", n, r, k)
     gens: list[PolyForm] = []
     l = 1
-    while k + 1 <= n:
-        piece = basis_Hrl(r + l - 1, l, k + 1, n).forms
-        if not piece:
-            break
+    while piece := basis_Hrl(r + l - 1, l, k + 1, n):
         gens += [koszul(f) for f in piece]
         l += 1
-    return SpaceBasis(spec, select_independent(gens))
+    return tuple(select_independent(gens))
 
 
 @lru_cache(maxsize=None)
 def basis_S(r: int, k: int, n: int) -> SpaceBasis:
     spec = SpaceSpec("S", n, r, k)
     gens = list(basis_P(r, k, n).forms)
-    gens += list(basis_J(r, k, n).forms)
+    gens += basis_J(r, k, n)
     if k >= 1:
-        gens += [exterior_derivative(f) for f in basis_J(r + 1, k - 1, n).forms]
+        gens += [exterior_derivative(f) for f in basis_J(r + 1, k - 1, n)]
     return SpaceBasis(spec, select_independent(gens))
 
 

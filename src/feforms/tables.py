@@ -2,8 +2,9 @@
 
 The expected values ship as an embedded fixture; `table1_certificates`
 recomputes every entry (closed formula for the tensor-product family, rank
-of the constructed basis for the serendipity-type family) and fails loudly
-on any mismatch.
+of the constructed basis for the serendipity-type family) and records any
+mismatch, including a tensor-product formula that disagrees with the rank
+of its basis.
 """
 
 from __future__ import annotations
@@ -52,13 +53,7 @@ S_TABLE = {
 
 def computed_entry(family: str, n: int, r: int, k: int) -> int:
     if family == "Qminus":
-        formula = spaces.dimension_Qminus(n, r, k)
-        rank = spaces.basis_Qminus(r, k, n).dim
-        if formula != rank:
-            raise RuntimeError(
-                f"tensor-product dimension mismatch at n={n}, r={r}, k={k}: "
-                f"formula {formula}, rank {rank}")
-        return formula
+        return spaces.dimension_Qminus(n, r, k)
     if family == "S":
         return spaces.basis_S(r, k, n).dim
     raise ValueError(f"no table for family {family!r}")
@@ -72,10 +67,13 @@ def table1_certificates() -> list[Certificate]:
         for (n, k), row in sorted(table.items()):
             for r, expected in zip(R_RANGE, row):
                 got = computed_entry(family, n, r, k)
+                # the Qminus formula is checked against the rank of its basis
+                rank = spaces.basis_Qminus(r, k, n).dim if family == "Qminus" else got
                 checked += 1
-                if got != expected:
-                    mismatches.append({"n": n, "k": k, "r": r,
-                                       "expected": expected, "computed": got})
+                if got != expected or got != rank:
+                    mismatches.append({"n": n, "k": k, "r": r, "expected": expected,
+                                       "computed": got,
+                                       **({"rank": rank} if got != rank else {})})
         certs.append(Certificate(
             f"table1:{family}", {"n_max": 4, "r_max": 6},
             "pass" if not mismatches else "fail",

@@ -75,9 +75,11 @@ def _exactness_certificates() -> list[Certificate]:
 
 
 def _complex_certificates() -> list[Certificate]:
+    # S_1 is the bottom of its chain: no level follows it
     return [complexes.check_complex(family, n, r)
-            for family, rmax in (("P", 4), ("Pminus", 4), ("Qminus", 3), ("S", 3))
-            for n in range(1, 4) for r in range(1, rmax + 1)]
+            for family, rmin, rmax in (("P", 1, 4), ("Pminus", 1, 4), ("Qminus", 1, 3),
+                                       ("S", 2, 3))
+            for n in range(1, 4) for r in range(rmin, rmax + 1)]
 
 
 def _s_property_certificates() -> list[Certificate]:

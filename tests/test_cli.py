@@ -66,6 +66,12 @@ def test_complex_verb_without_a_chain_exits_2(monkeypatch, capsys, family, n, r)
     assert "chains need n >= 1 and r >= 1" in capsys.readouterr().err
 
 
+def test_complex_verb_with_a_single_level_exits_2(monkeypatch, capsys):
+    assert main_exit_code(monkeypatch, ["complex", "--family", "S",
+                                        "--n", "2", "--r", "1"]) == 2
+    assert "no two consecutive levels" in capsys.readouterr().err
+
+
 def test_homotopy_verb(capsys):
     assert run(["homotopy", "--n", "3", "--r", "2", "--k", "1"]) == 0
 

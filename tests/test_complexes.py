@@ -16,7 +16,7 @@ from feforms.complexes import (
     summary_tsv,
 )
 from feforms.forms import AffineEmbedding, PolyForm, exterior_derivative, koszul
-from feforms.spaces import PUBLIC_FAMILIES, basis_H
+from feforms.spaces import FAMILIES, basis_H
 
 
 def test_chain_degrees():
@@ -35,7 +35,7 @@ def family_rule_degrees(family, r, n):
 
 
 def test_chain_degrees_follow_the_family_table():
-    for family in PUBLIC_FAMILIES:
+    for family in FAMILIES:
         for n in range(5):
             for r in range(1, 7):
                 assert chain_degrees(family, r, n) == family_rule_degrees(family, r, n)
@@ -49,6 +49,14 @@ def test_chain_checks_reject_bad_parameters():
                         (check_exactness, ("koszul", 2, 0))):
         with pytest.raises(ValueError, match="chains need n >= 1 and r >= 1"):
             check(*args)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_complex_refuses_a_chain_with_no_step(n):
+    # S_1 is the bottom of its chain: a certificate would check nothing
+    assert chain_degrees("S", 1, n)[1] is None
+    with pytest.raises(ValueError, match="no two consecutive levels"):
+        check_complex("S", n, 1)
 
 
 def test_check_complex_families():
@@ -134,7 +142,7 @@ def test_direct_sum():
     # k = n: no contraction part
     cert = check_direct_sum(2, 2, 2)
     assert cert.passed and cert.witness["rank_kappa"] == 0
-    assert cert.witness["rank_d"] == basis_H(2, 2, 2).dim
+    assert cert.witness["rank_d"] == len(basis_H(2, 2, 2))
 
 
 def test_S_properties():

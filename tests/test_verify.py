@@ -10,9 +10,9 @@ from feforms.cli import run
 # sha256 of the verify-all reports; any change to a certificate shows here
 REPORT_SHA256 = {
     "certificates.jsonl":
-        "42272dadcc42d554f8dc4f278c290f4e2658a75bb8fcc137bcc02c47ae0dcd40",
+        "b57280228671d834c7f0ea80ff1289b1667fc264fb4d9b00f6f79af8433cbc15",
     "summary.tsv":
-        "b3bf83106881ca0b6dc0c45f43f8c078f3088ece26c02d15e783367fe3bf1dad",
+        "0485704a8b3a85d37e1e68f62e8ce38cf56f85a1db2ff48cb0367a3d8fb1b1a6",
 }
 
 
@@ -82,6 +82,101 @@ def test_table1_certificate_fails_on_perturbed_entry(monkeypatch):
         {"n": 2, "k": 1, "r": 3, "expected": row[2], "computed": row[2] - 1}]
 
 
+def off_by_one_at(formula, at):
+    """A dimension formula `(n, r, k) -> int` that is one too large at `at`."""
+    return lambda n, r, k: formula(n, r, k) + (1 if (n, r, k) == at else 0)
+
+
+def basis_S_missing_last_form(where):
+    """`spaces.basis_S` with the last form dropped wherever `where(n, r, k)`."""
+    basis_S = spaces.basis_S
+
+    def build(r, k, n):
+        got = basis_S(r, k, n)
+        return spaces.SpaceBasis(got.spec, got.forms[:-1]) if where(n, r, k) else got
+
+    return build
+
+
+def test_table1_certificate_fails_on_formula_that_disagrees_with_rank(monkeypatch, capsys):
+    monkeypatch.setattr(spaces, "dimension_Qminus",
+                        off_by_one_at(spaces.dimension_Qminus, (2, 2, 1)))
+    qminus, s = tables.table1_certificates()
+    assert qminus.verdict == "fail" and s.passed
+    # the table and the basis agree; only the closed formula is off
+    assert qminus.witness["mismatches"] == [
+        {"n": 2, "k": 1, "r": 2, "expected": 12, "computed": 13, "rank": 12}]
+    assert run(["table1"]) == 1
+    assert "FAILURES detected" in capsys.readouterr().out
+
+
+def test_table1_S_certificate_fails_on_dropped_basis_form(monkeypatch):
+    monkeypatch.setattr(spaces, "basis_S",
+                        basis_S_missing_last_form(lambda n, r, k: (n, r, k) == (3, 2, 1)))
+    qminus, s = tables.table1_certificates()
+    assert qminus.passed and s.verdict == "fail"
+    assert s.witness["mismatches"] == [
+        {"n": 3, "k": 1, "r": 2, "expected": 48, "computed": 47}]
+
+
+def test_dims_P_certificate_fails_on_dropped_basis_form(monkeypatch):
+    basis_for = spaces.basis_for
+
+    def dropping(spec):
+        got = basis_for(spec)
+        if (spec.family, spec.n, spec.r, spec.k) == ("P", 3, 2, 1):
+            return spaces.SpaceBasis(spec, got.forms[:-1])
+        return got
+
+    monkeypatch.setattr(spaces, "basis_for", dropping)
+    p, pminus = verify._dims_certificates()
+    assert p.verdict == "fail" and pminus.passed
+    assert p.witness["mismatches"] == [
+        {"n": 3, "r": 2, "k": 1, "formula": 30, "rank": 29}]
+
+
+def test_dims_Pminus_certificate_fails_on_perturbed_formula(monkeypatch):
+    monkeypatch.setattr(spaces, "dimension_Pminus",
+                        off_by_one_at(spaces.dimension_Pminus, (2, 3, 1)))
+    p, pminus = verify._dims_certificates()
+    assert p.passed and pminus.verdict == "fail"
+    # the rank disagrees, and so does the ratio to dim P
+    assert pminus.witness["mismatches"] == [
+        {"n": 2, "r": 3, "k": 1, "formula": 16, "rank": 15}]
+    assert pminus.witness["ratio_failures"] == [{"n": 2, "r": 3, "k": 1}]
+
+
+def test_S_properties_certificate_fails_on_truncated_edge_space(monkeypatch):
+    assert complexes.check_S_properties(2, 1).passed
+    # the S 1-forms on an edge lose their last form, so traces leave them
+    monkeypatch.setattr(complexes, "basis_S",
+                        basis_S_missing_last_form(lambda n, r, k: (n, k) == (1, 1)))
+    cert = complexes.check_S_properties(2, 1)
+    assert cert.verdict == "fail"
+    assert [entry["trace"] for entry in cert.witness["per_k"]] == [True, False, True]
+    assert cert.witness["per_k"][1]["counterexample"] == "1/1 x1 dx1"
+
+
+def test_commuting_certificate_fails_on_wrong_chain_drop(monkeypatch):
+    monkeypatch.setattr(verify, "COMMUTING_CASES", (("two_triangle_square", "Pminus", 2),))
+    assert all(c.passed for c in verify._commuting_certificates())
+    # a P-like drop sends d of Pminus_2 0-forms to Pminus_1 1-forms
+    monkeypatch.setitem(spaces.FAMILIES, "Pminus", spaces.Family("simplex", 1, 1))
+    [cert] = verify._commuting_certificates()
+    assert cert.verdict == "fail" and cert.params["r"] == 2
+    # the linear inputs lie in both spaces and still commute
+    assert cert.witness["inputs_tested"] == 10
+    assert sorted(cert.witness["failures"]) == sorted(
+        forms.form_to_string(u) for u in spaces.monomial_forms(2, 0, 3)
+        if u.degree() >= 2)
+
+
+def test_no_verify_all_certificate_checks_nothing():
+    # a complex certificate with no level would pass having checked nothing
+    certs = verify.full_suite()
+    assert all(c.witness["levels"] for c in certs if "levels" in c.witness)
+
+
 def test_homotopy_certificate_fails_on_flipped_koszul_sign(monkeypatch):
     assert complexes.check_homotopy(2, 1, 1).passed
     monkeypatch.setattr(complexes, "koszul", lambda u: -forms.koszul(u))
@@ -126,11 +221,11 @@ def test_direct_sum_certificate_fails_on_dropped_component(monkeypatch):
 def test_origin_certificate_fails_on_homogeneous_basis(monkeypatch):
     assert complexes.check_origin_independence("S", 2, 1, 1).passed
     # homogeneous forms: a translate picks up lower-degree terms outside the span
-    monkeypatch.setattr(complexes, "basis_for",
-                        lambda spec: spaces.basis_H(spec.r, spec.k, spec.n))
+    monkeypatch.setattr(complexes, "basis_for", lambda spec: spaces.SpaceBasis(
+        spec, spaces.basis_H(spec.r, spec.k, spec.n)))
     cert = complexes.check_origin_independence("S", 2, 1, 1)
     assert cert.verdict == "fail"
-    assert cert.witness == {"dim": spaces.basis_H(1, 1, 2).dim}
+    assert cert.witness == {"dim": len(spaces.basis_H(1, 1, 2))}
 
 
 def test_S_vector_proxy_certificate_fails_on_dropped_basis_form(monkeypatch):
