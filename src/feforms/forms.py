@@ -320,21 +320,6 @@ class AffineEmbedding:
         return tuple(c + sum(row[j] * t[j] for j in range(self.source_dim))
                      for row, c in zip(self.matrix, self.offset))
 
-    def compose(self, inner: "AffineEmbedding") -> "AffineEmbedding":
-        """self after inner: (self . inner)(t) = self(inner(t))."""
-        if inner.target_dim != self.source_dim:
-            raise ValueError("composition shape mismatch")
-        m = inner.source_dim
-        matrix = tuple(
-            tuple(sum(self.matrix[i][l] * inner.matrix[l][j]
-                      for l in range(self.source_dim)) for j in range(m))
-            for i in range(self.target_dim))
-        offset = tuple(
-            self.offset[i] + sum(self.matrix[i][l] * inner.offset[l]
-                                 for l in range(self.source_dim))
-            for i in range(self.target_dim))
-        return AffineEmbedding(matrix, offset)
-
     def substitute(self, p: Polynomial) -> Polynomial:
         """Exact composition p(offset + matrix @ t), with shared power cache."""
         if p.n != self.target_dim:

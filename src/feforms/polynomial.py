@@ -120,9 +120,6 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = Fraction(other)
@@ -170,34 +167,6 @@ class Polynomial:
                 b = a[:i] + (a[i] - 1,) + a[i + 1:]
                 out[b] = out.get(b, 0) + c * a[i]
         return Polynomial(self.n, out)
-
-    def antiderivative(self, j: int) -> "Polynomial":
-        """Antiderivative in x^j with zero constant term."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"variable index {j} out of range 1..{self.n}")
-        i = j - 1
-        out = {}
-        for a, c in self.terms.items():
-            b = a[:i] + (a[i] + 1,) + a[i + 1:]
-            out[b] = c / (a[i] + 1)
-        return Polynomial(self.n, out)
-
-    def homogeneous_part(self, r: int) -> "Polynomial":
-        return Polynomial(self.n, {a: c for a, c in self.terms.items()
-                                   if sum(a) == r})
-
-    def evaluate(self, point) -> Fraction:
-        if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, need {self.n}")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for a, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, a):
-                if e:
-                    v *= x ** e
-            total += v
-        return total
 
     def sdeg(self):
         """Superlinear degree: max over monomials, NEG_INF for zero."""

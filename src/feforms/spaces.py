@@ -12,9 +12,10 @@ The four families (reference simplex conv{0, e_1, ..., e_n}, reference box
 
 The graded pieces used in the constructions are plain tuples of forms, not
 spaces: H (homogeneous forms), Hrl (homogeneous forms of linear degree >= l)
-and J (sums of contractions of the Hrl pieces).  A basis of a sum of spaces
-is produced by feeding the generators in a fixed order to an exact echelon
-and keeping those that enlarge the span; all bases are therefore
+and J (sums of contractions of the Hrl pieces).  The P and Qminus bases are
+independent because they are distinct monomial forms.  The Pminus, J and S
+bases span sums of spaces: their generators go in a fixed order to an exact
+echelon, which keeps those that enlarge the span, so these bases are
 rank-certified at construction.  Construction is memoized per spec.
 """
 
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import product
+from math import comb, prod
 from typing import NamedTuple
 
 from feforms import linalg
@@ -231,18 +233,23 @@ def basis_S(r: int, k: int, n: int) -> SpaceBasis:
     return SpaceBasis(spec, select_independent(gens))
 
 
+def qminus_caps(r: int, k: int, n: int):
+    """(sigma, per-axis degree caps): r-1 on alternator axes, r off."""
+    for sigma in enumerate_sigma(k, n):
+        yield sigma, [r - 1 if i + 1 in sigma else r for i in range(n)]
+
+
+def qminus_count(r: int, k: int, n: int) -> int:
+    """Size of the Qminus basis enumeration, without building a form."""
+    return sum(prod(c + 1 for c in caps) for _, caps in qminus_caps(r, k, n))
+
+
 @lru_cache(maxsize=None)
 def basis_Qminus(r: int, k: int, n: int) -> SpaceBasis:
-    """Tensor-product basis: per-axis degree <= r-1 on alternator axes, <= r off."""
-    spec = SpaceSpec("Qminus", n, r, k)
-    from itertools import product
-    forms = []
-    for sigma in enumerate_sigma(k, n):
-        inside = set(sigma)
-        caps = [r - 1 if (i + 1) in inside else r for i in range(n)]
-        for alpha in product(*(range(c + 1) for c in caps)):
-            forms.append(_monomial_form(n, alpha, sigma))
-    return SpaceBasis(spec, forms)
+    """Tensor-product basis: the monomials under the caps of `qminus_caps`."""
+    return SpaceBasis(SpaceSpec("Qminus", n, r, k), [
+        _monomial_form(n, alpha, sigma) for sigma, caps in qminus_caps(r, k, n)
+        for alpha in product(*(range(c + 1) for c in caps))])
 
 
 def basis_for(spec: SpaceSpec) -> SpaceBasis:

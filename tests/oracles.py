@@ -19,6 +19,10 @@ the Stokes tests.
 The mesh-face oracle enumerates faces element by element on its own: the
 sorted-id subsets of each simplex, the corner bits of each box.
 
+Evaluation, antiderivatives and homogeneous parts of a Polynomial, and the
+composition of two affine embeddings, are plain functions here: only the
+tests need them.
+
 The conformity oracle checks every pair of simplices, in `combinations`
 order, by enumerating the vertices of their intersection polytope in
 integer arithmetic (Cramer's rule on coordinates scaled to integers); it
@@ -36,12 +40,58 @@ from feforms.forms import AffineEmbedding, PolyForm, box_face_chart, std_simplex
 from feforms.polynomial import Polynomial
 
 
+def evaluate(p: Polynomial, point) -> Fraction:
+    """p at a rational point."""
+    if len(point) != p.n:
+        raise ValueError(f"point has {len(point)} coordinates, need {p.n}")
+    pt = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for a, c in p.terms.items():
+        v = c
+        for x, e in zip(pt, a):
+            if e:
+                v *= x ** e
+        total += v
+    return total
+
+
+def antiderivative(p: Polynomial, j: int) -> Polynomial:
+    """Antiderivative of p in x^j with zero constant term."""
+    if not 1 <= j <= p.n:
+        raise ValueError(f"variable index {j} out of range 1..{p.n}")
+    i = j - 1
+    out = {}
+    for a, c in p.terms.items():
+        b = a[:i] + (a[i] + 1,) + a[i + 1:]
+        out[b] = c / (a[i] + 1)
+    return Polynomial(p.n, out)
+
+
+def homogeneous_part(p: Polynomial, r: int) -> Polynomial:
+    """The terms of p of total degree r."""
+    return Polynomial(p.n, {a: c for a, c in p.terms.items() if sum(a) == r})
+
+
+def compose(outer: AffineEmbedding, inner: AffineEmbedding) -> AffineEmbedding:
+    """outer after inner: t -> outer(inner(t))."""
+    if inner.target_dim != outer.source_dim:
+        raise ValueError("composition shape mismatch")
+    mid = range(outer.source_dim)
+    matrix = tuple(
+        tuple(sum(outer.matrix[i][l] * inner.matrix[l][j] for l in mid)
+              for j in range(inner.source_dim))
+        for i in range(outer.target_dim))
+    offset = tuple(outer.offset[i] + sum(outer.matrix[i][l] * inner.offset[l] for l in mid)
+                   for i in range(outer.target_dim))
+    return AffineEmbedding(matrix, offset)
+
+
 def iterated_simplex_integral(p: Polynomial) -> Fraction:
     """Integral of p over the standard simplex in its ambient dimension."""
     d = p.n
     if d == 0:
-        return p.evaluate(())
-    anti = p.antiderivative(d)
+        return evaluate(p, ())
+    anti = antiderivative(p, d)
     # upper limit t_d = 1 - t_1 - ... - t_(d-1), lower limit 0
     upper_matrix = []
     for i in range(d):
@@ -62,8 +112,8 @@ def iterated_box_integral(p: Polynomial, bounds) -> Fraction:
     """Integral of p over the box with the given (lo, hi) per axis."""
     d = p.n
     if d == 0:
-        return p.evaluate(())
-    anti = p.antiderivative(d)
+        return evaluate(p, ())
+    anti = antiderivative(p, d)
     keep = [[Fraction(int(j == i)) for j in range(d - 1)] for i in range(d - 1)]
     matrix = keep + [[Fraction(0)] * (d - 1)]
     at_lo, at_hi = (AffineEmbedding(matrix, [Fraction(0)] * (d - 1) + [Fraction(end)])

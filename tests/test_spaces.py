@@ -30,6 +30,7 @@ from feforms.spaces import (
     make_spec,
     membership,
     monomial_forms,
+    qminus_count,
     select_independent,
     span_rank,
     spans_equal,
@@ -113,6 +114,13 @@ def test_basis_Qminus_sizes():
     assert basis_Qminus(2, 1, 3).dim == 54
     assert basis_Qminus(1, 0, 2).dim == 4
     assert basis_Qminus(1, 2, 2).dim == 1
+
+
+def test_qminus_count_matches_the_enumeration():
+    for n in range(1, 4):
+        for r in range(1, 4):
+            for k in range(n + 1):
+                assert qminus_count(r, k, n) == len(basis_Qminus(r, k, n).forms)
 
 
 def test_Qminus_tensor_structure_2d():

@@ -110,6 +110,29 @@ def test_table1_certificate_fails_on_formula_that_disagrees_with_rank(monkeypatc
     assert "FAILURES detected" in capsys.readouterr().out
 
 
+def test_table1_Qminus_certificate_fails_on_dropped_sigma(monkeypatch):
+    qminus_caps = spaces.qminus_caps
+
+    def dropping_first_sigma(r, k, n):
+        caps = qminus_caps(r, k, n)
+        if (n, r, k) == (3, 2, 1):
+            next(caps)
+        return caps
+
+    monkeypatch.setattr(spaces, "qminus_caps", dropping_first_sigma)
+    qminus, s = tables.table1_certificates()
+    assert qminus.verdict == "fail" and s.passed
+    # sigma = (1,) carries caps (1, 2, 2), so 18 of the 54 forms go missing
+    assert qminus.witness["mismatches"] == [
+        {"n": 3, "k": 1, "r": 2, "expected": 54, "computed": 54, "rank": 36}]
+
+
+def test_table1_builds_no_Qminus_basis():
+    spaces.basis_Qminus.cache_clear()
+    tables.table1_certificates()
+    assert spaces.basis_Qminus.cache_info().currsize == 0
+
+
 def test_table1_S_certificate_fails_on_dropped_basis_form(monkeypatch):
     monkeypatch.setattr(spaces, "basis_S",
                         basis_S_missing_last_form(lambda n, r, k: (n, r, k) == (3, 2, 1)))
