@@ -32,6 +32,7 @@ from feforms.forms import (
     FaceMoments,
     PolyForm,
     box_face_chart,
+    monomial_trace,
     pullback,
     simplex_face_chart,
 )
@@ -132,31 +133,65 @@ def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
     Column j is scaled by the lcm of the coefficient denominators of form
     j; reference charts have 0/1 entries, so every trace is then integral.
     Row i is scaled by the lcm of the denominators of its weight's moments
-    over the trace monomials of its face.  Traces are computed once per
-    face, and the moment tables live for this call only.
+    over the nonzero trace monomials of its face.  Each distinct monomial
+    of the forms is traced once per face (`face_traces`), each weight reads
+    only the moments that can be nonzero, and the moment tables live for
+    this call only.
     """
-    forms = [_clear_denominators(f) for f in forms]
     if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in forms):
         raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
+    columns = _integer_columns(forms)
     moments = FaceMoments(dofset.spec.element)
     rows: list[list[int]] = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
-        traces = [pullback(f, face.embedding).coefficient_dict() for f in forms]
-        if any(c.denominator != 1 for tr in traces for c in tr.values()):
-            raise ValueError(f"a trace on face {face.label} is not integral")
-        traces = [[(key, c.numerator) for key, c in tr.items()] for tr in traces]
-        keys = list({key for tr in traces for key, _ in tr})
+        index = face_traces(columns, face)
         for phi in group:
             if (phi.weight.n, phi.weight.k) != (face.dim, face.dim - dofset.spec.k):
                 raise ValueError(f"weight {phi.weight} does not fit face {face.label}")
-            m, _ = moments.scaled(phi.weight, keys)
-            rows.append([sum([c * m[key] for key, c in tr]) for tr in traces])
+            m, _ = moments.scaled(phi.weight, index)
+            row = [0] * len(forms)
+            for key, v in m.items():
+                for j, c in index[key].items():
+                    row[j] += c * v
+            rows.append(row)
     return rows
 
 
-def _clear_denominators(f: PolyForm) -> PolyForm:
-    den = lcm(*[c.denominator for a in f.components.values() for c in a.terms.values()])
-    return f if den == 1 else f * den
+def face_traces(columns, face: FaceRef) -> dict:
+    """The traces on `face` of the forms with integer coefficients
+    `columns` ({(sigma, alpha): int} each), as {trace key: {j: int}}.
+
+    Each distinct monomial is traced once, by `monomial_trace`.  Entries
+    that cancel to 0 are dropped, and so are keys left with none.  Raises
+    ValueError when a trace is not integral.
+    """
+    traced = {key: monomial_trace(face.embedding, *key)
+              for key in {key for col in columns for key in col}}
+    sums: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            for got, t in traced[key]:
+                entry = sums.setdefault(got, {})
+                entry[j] = entry.get(j, 0) + c * t
+    index = {}
+    for got, entry in sums.items():
+        if any(v.denominator != 1 for v in entry.values()):
+            raise ValueError(f"a trace on face {face.label} is not integral")
+        if entry := {j: v.numerator for j, v in entry.items() if v}:
+            index[got] = entry
+    return index
+
+
+def _integer_columns(forms) -> list[dict]:
+    """Each form as {(sigma, alpha): int}, scaled by the lcm of its
+    coefficient denominators."""
+    columns = []
+    for f in forms:
+        terms = f.coefficient_dict()
+        den = lcm(*[c.denominator for c in terms.values()])
+        columns.append({key: c.numerator * (den // c.denominator)
+                        for key, c in terms.items()})
+    return columns
 
 
 def per_face_counts(spec: SpaceSpec) -> list[dict]:
@@ -198,15 +233,12 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
     forms = monomial_forms(n, k, r - 1)
     cols = len(forms)
     ech = linalg.Echelon()
-    facets = [f for f in reference_faces("simplex", n) if f.dim == n - 1]
-    for face in facets:
-        trace_dicts = [pullback(f, face.embedding).coefficient_dict()
-                       for f in forms]
-        keys = sorted({key for td in trace_dicts for key in td})
-        for key in keys:
-            row = {j: td[key] for j, td in enumerate(trace_dicts) if key in td}
-            if row:
-                ech.add_fractions(row)
+    columns = _integer_columns(forms)
+    for face in reference_faces("simplex", n):
+        if face.dim == n - 1:
+            index = face_traces(columns, face)
+            for key in sorted(index):
+                ech.add_fractions(index[key])
     moments = FaceMoments("simplex")
     for q in monomial_forms(n, n - k, r + k - n - 1):
         row = {}

@@ -385,21 +385,20 @@ def _coordinate_axes(matrix, offset, m: int):
     return {t + 1: j + 1 for j, t in enumerate(free)}, tuple(free), tuple(zeros)
 
 
-def _restrict(u: PolyForm, source: dict, free: tuple, zeros: tuple) -> PolyForm:
-    """Pullback through a coordinate injection, by reindexing alone: drop
-    the components whose dx uses a fixed axis and the monomials in an axis
-    fixed at 0, and set the axes fixed at 1 to 1."""
-    comps: dict = {}
-    for sigma, a in u.components.items():
-        if all(s in source for s in sigma):
-            terms: dict = {}
-            for alpha, c in a.terms.items():
-                if not any(alpha[i] for i in zeros):
-                    beta = tuple([alpha[i] for i in free])
-                    terms[beta] = terms[beta] + c if beta in terms else c
-            comps[tuple(source[s] for s in sigma)] = Polynomial._of(
-                len(free), {b: c for b, c in terms.items() if c})
-    return PolyForm._of(len(free), u.k, comps)
+def _coordinate_trace(coords, sigma, alpha):
+    """Trace key (tau, beta) of the monomial x^alpha dx^sigma through a
+    coordinate injection with axes `coords` (see `_coordinate_axes`), or
+    None where the trace is zero.  It is zero unless sigma lies within the
+    free axes and alpha is 0 on the axes fixed at 0; then beta is alpha on
+    the free axes, tau is sigma renumbered, and the coefficient is kept."""
+    source, free, zeros = coords
+    for i in zeros:
+        if alpha[i]:
+            return None
+    for s in sigma:
+        if s not in source:
+            return None
+    return tuple([source[s] for s in sigma]), tuple([alpha[i] for i in free])
 
 
 def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
@@ -415,8 +414,10 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
     k = u.k
     if k > m:
         return PolyForm.zero(m, k)
-    if f._coords is not None:
-        return _restrict(u, *f._coords)
+    if f._coords is not None:  # a coordinate chart: reindex alone
+        return _form_from_terms(m, k, [
+            (*key, c) for sigma, a in u.components.items() for alpha, c in a.terms.items()
+            if (key := _coordinate_trace(f._coords, sigma, alpha))])
     taus = enumerate_sigma(k, m)
     comps: dict = {}
     for sigma, a in u.components.items():
@@ -430,6 +431,19 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
                 old = comps.get(tau)
                 comps[tau] = term if old is None else old + term
     return PolyForm._of(m, k, comps)
+
+
+def monomial_trace(chart: AffineEmbedding, sigma, alpha) -> list:
+    """The pullback of x^alpha dx^sigma through `chart`, as (trace key
+    (tau, beta), coefficient) pairs: by reindexing on a coordinate chart,
+    else by one `pullback`."""
+    if chart._coords is not None:
+        key = _coordinate_trace(chart._coords, sigma, alpha)
+        return [(key, 1)] if key else []
+    tr = pullback(PolyForm.monomial(chart.target_dim, alpha, sigma), chart)
+    # integral coefficients as ints: summing Fractions is slower
+    return [(key, c.numerator if c.denominator == 1 else c)
+            for key, c in tr.coefficient_dict().items()]
 
 
 # -- exact integration -----------------------------------------------------
@@ -526,13 +540,15 @@ class FaceMoments:
                              f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
         terms = tr.coefficient_dict()
         den = lcm(*[c.denominator for c in terms.values()])
-        m, scale = self.scaled(q, list(terms))
-        return Fraction(sum([c.numerator * (den // c.denominator) * m[key]
-                             for key, c in terms.items()]), den * scale)
+        m, scale = self.scaled(q, terms)
+        return Fraction(sum([terms[key].numerator * (den // terms[key].denominator) * v
+                             for key, v in m.items()]), den * scale)
 
-    def scaled(self, q: PolyForm, keys: list) -> tuple[dict, int]:
-        """The moments of q against the monomials (tau, alpha) in `keys` of
-        a (d - q.k)-form trace, as ({key: int}, den): over their lcm."""
+    def scaled(self, q: PolyForm, keys) -> tuple[dict, int]:
+        """The nonzero moments of q against the monomials (tau, alpha) in
+        `keys` of a (d - q.k)-form trace, as ({key: int}, den): over the
+        lcm of all their denominators.  A key whose tau is not the
+        complement of an alternator of q has moment 0 and is not computed."""
         held = self._tables.get(id(q))
         if held is None:
             # only q's component on the complement of tau pairs with dx^tau;
@@ -544,19 +560,18 @@ class FaceMoments:
                     (beta, c.numerator, c.denominator) for beta, c in b.terms.items()])
             held = self._tables[id(q)] = (q, parts, {})
         _, parts, table = held
-        got = []
+        got = {}
         for key in keys:
-            m = table.get(key)
-            if m is None:
-                m = table[key] = self._moment(parts, *key)
-            got.append(m)
-        den = lcm(*[d for _, d in got])
-        return {key: n * (den // d) for key, (n, d) in zip(keys, got)}, den
+            if key[0] in parts:
+                m = table.get(key)
+                if m is None:
+                    m = table[key] = self._moment(parts, *key)
+                got[key] = m
+        den = lcm(*[d for _, d in got.values()])
+        return {key: n * (den // d) for key, (n, d) in got.items() if n}, den
 
     def _moment(self, parts: dict, tau, alpha) -> tuple[int, int]:
         """Integral of x^alpha dx^tau ^ q as a reduced fraction (num, den)."""
-        if tau not in parts:
-            return 0, 1
         sign, terms = parts[tau]
         num, den = 0, 1
         for beta, cn, cd in terms:

@@ -23,6 +23,10 @@ Evaluation, antiderivatives and homogeneous parts of a Polynomial, and the
 composition of two affine embeddings, are plain functions here: only the
 tests need them.
 
+The DOF-matrix oracle pulls every form back through every face chart
+and forms every dense entry from the whole trace, the reference for the
+per-monomial traces and sparse fill of `dofs.dof_matrix`.
+
 The conformity oracle checks every pair of simplices, in `combinations`
 order, by enumerating the vertices of their intersection polytope in
 integer arithmetic (Cramer's rule on coordinates scaled to integers); it
@@ -32,11 +36,18 @@ imports nothing from the mesh code.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import lcm
 
 from feforms.combinatorics import merge
-from feforms.forms import AffineEmbedding, PolyForm, box_face_chart, std_simplex_vertices
+from feforms.forms import (
+    AffineEmbedding,
+    FaceMoments,
+    PolyForm,
+    box_face_chart,
+    pullback,
+    std_simplex_vertices,
+)
 from feforms.polynomial import Polynomial
 
 
@@ -313,3 +324,30 @@ def mesh_faces(mesh):
         dim = len(ids) - 1 if mesh.kind == "simplicial" else len(ids).bit_length() - 1
         out.append((dim, ids, tuple(sorted(table[ids], key=lambda pair: pair[0]))))
     return out
+
+
+def pullback_dof_matrix(forms, dofset) -> list[list[int]]:
+    """The integer DOF matrix of `dofs.dof_matrix`, with every form pulled
+    back whole through every face chart: column j scaled by the lcm of the
+    coefficient denominators of form j, row i by the lcm of the moments of
+    its weight over every trace monomial of its face."""
+    scaled = []
+    for f in forms:
+        den = lcm(*[c.denominator for a in f.components.values() for c in a.terms.values()])
+        scaled.append(f if den == 1 else f * den)
+    if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in scaled):
+        raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
+    moments = FaceMoments(dofset.spec.element)
+    rows = []
+    for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
+        traces = [pullback(f, face.embedding).coefficient_dict() for f in scaled]
+        if any(c.denominator != 1 for tr in traces for c in tr.values()):
+            raise ValueError(f"a trace on face {face.label} is not integral")
+        traces = [[(key, c.numerator) for key, c in tr.items()] for tr in traces]
+        keys = list({key for tr in traces for key, _ in tr})
+        for phi in group:
+            if (phi.weight.n, phi.weight.k) != (face.dim, face.dim - dofset.spec.k):
+                raise ValueError(f"weight {phi.weight} does not fit face {face.label}")
+            m, _ = moments.scaled(phi.weight, keys)
+            rows.append([sum([c * m.get(key, 0) for key, c in tr]) for tr in traces])
+    return rows

@@ -4,9 +4,12 @@ from math import comb, lcm
 
 import pytest
 
+import feforms.forms
 from feforms import dofs, linalg
 from feforms.dofs import (
+    DofFunctional,
     DofSet,
+    FaceRef,
     apply,
     dof_matrix,
     dofs_for,
@@ -15,9 +18,10 @@ from feforms.dofs import (
     trace_moment_vanishing_check,
     weight_basis,
 )
-from feforms.forms import PolyForm, pullback
+from feforms.forms import AffineEmbedding, PolyForm, pullback
 from feforms.polynomial import Polynomial
 from feforms.spaces import basis_Pminus, basis_S, basis_for, make_spec
+from oracles import pullback_dof_matrix
 
 
 def counts_by_dim(dofset):
@@ -221,6 +225,73 @@ def test_dof_matrix_is_the_exact_matrix_rescaled(family, n, r, k):
         assert [v == 0 for v in row] == [w == 0 for w in want]
         factors = {Fraction(v, c) / w for v, c, w in zip(row, columns, want) if w}
         assert len(factors) <= 1 and all(f > 0 for f in factors)
+    assert got == pullback_dof_matrix(forms, dofset)
+
+
+@pytest.mark.parametrize("family, n, r, k", [("Pminus", 2, 1, 1), ("Pminus", 3, 5, 1)])
+def test_dof_matrix_matches_the_pullback_oracle(family, n, r, k):
+    """Cancelled trace entries must not enter a row's lcm factor."""
+    spec = make_spec(family, n, r, k)
+    basis = basis_for(spec).forms
+    dofset = dofs_for(spec)
+    assert dof_matrix(basis, dofset) == pullback_dof_matrix(basis, dofset)
+
+
+def test_dof_matrix_drops_a_trace_that_cancels():
+    """x1 dx1 - x1 x2 dx1 has zero trace on the edge x2 = 1, so that edge's
+    rows are scaled as for dx1 alone."""
+    cancels = PolyForm.monomial(2, (1, 0), (1,)) - PolyForm.monomial(2, (1, 1), (1,))
+    dofset = dofs_for(make_spec("Qminus", 2, 2, 1))
+    edge = [phi.face for phi in dofset.functionals if phi.face.label == ((1,), (1,))][0]
+    assert pullback(cancels, edge.embedding).is_zero
+    forms = [cancels, PolyForm.dx(2, 1)]
+    assert dof_matrix(forms, dofset) == pullback_dof_matrix(forms, dofset)
+
+
+def count_calls(monkeypatch, owner, name, counter):
+    real = getattr(owner, name)
+
+    def counted(*args):
+        counter[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("family, n, r, k", [("Qminus", 3, 2, 1), ("P", 3, 3, 1)])
+def test_dof_matrix_traces_each_monomial_once_per_face(monkeypatch, family, n, r, k):
+    """Coordinate charts are traced by reindexing, with no pullback and no
+    substitution; any other chart pulls each distinct monomial back once."""
+    spec = make_spec(family, n, r, k)
+    basis, dofset = basis_for(spec).forms, dofs_for(spec)
+    calls = {"pullback": 0, "substitute": 0}
+    count_calls(monkeypatch, feforms.forms, "pullback", calls)
+    count_calls(monkeypatch, dofs, "pullback", calls)
+    count_calls(monkeypatch, AffineEmbedding, "substitute", calls)
+    dof_matrix(basis, dofset)
+    monomials = {key for f in basis for key in f.coefficient_dict()}
+    charts = {phi.face for phi in dofset.functionals if phi.face.embedding._coords is None}
+    if family == "Qminus":
+        assert not charts and calls == {"pullback": 0, "substitute": 0}
+    else:
+        assert charts and 0 < calls["pullback"] <= len(monomials) * len(charts)
+
+
+def test_dof_matrix_rejects_a_trace_that_is_not_integral():
+    half_edge = AffineEmbedding(((Fraction(1, 2),), (0,)), (0, 0))
+    face = FaceRef("simplex", 1, (0, 1), (0, 1), half_edge)
+    spec = make_spec("Pminus", 2, 1, 1)
+    dofset = DofSet(spec, (DofFunctional(face, PolyForm(1, 0, {(): 1})),))
+    with pytest.raises(ValueError, match="not integral"):
+        dof_matrix([PolyForm.dx(2, 1)], dofset)
+
+
+def test_dof_matrix_rejects_a_weight_of_the_wrong_degree():
+    spec = make_spec("Pminus", 2, 1, 1)
+    edge = dofs_for(spec).functionals[0].face
+    dofset = DofSet(spec, (DofFunctional(edge, PolyForm.dx(1, 1)),))
+    with pytest.raises(ValueError, match="does not fit"):
+        dof_matrix(basis_for(spec).forms, dofset)
 
 
 def test_dof_matrix_rejects_forms_of_another_degree():
