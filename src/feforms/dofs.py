@@ -187,10 +187,9 @@ def _integer_columns(forms) -> list[dict]:
     coefficient denominators."""
     columns = []
     for f in forms:
-        terms = f.coefficient_dict()
-        den = lcm(*[c.denominator for c in terms.values()])
+        den = lcm(*[c.denominator for c in f.terms.values()])
         columns.append({key: c.numerator * (den // c.denominator)
-                        for key, c in terms.items()})
+                        for key, c in f.terms.items()})
     return columns
 
 

@@ -1,22 +1,25 @@
 """Polynomial differential forms and their exact calculus.
 
-A k-form u = sum_sigma a_sigma dx^sigma is stored componentwise: increasing
-index tuples sigma map to Polynomial coefficients a_sigma.  Everything here
-(wedge, exterior derivative, contraction with the position field, affine
-pullback, integration over simplices and boxes) stays inside rational
-arithmetic.
+A k-form u = sum c x^alpha dx^sigma is stored as one flat map
+{(sigma, alpha): c} from monomial forms to nonzero Fraction coefficients:
+sigma is an increasing alternator of length k and alpha a length-n exponent
+tuple.  Wedge, exterior derivative, contraction with the position field and
+affine pullback act term by term on this map and stay inside rational
+arithmetic, as does integration over simplices and boxes.
 
 Degree bookkeeping: forms of degree k > n are identically zero and
-normalize to the empty component map, so chain-complex code needs no
-special cases at the ends.  Contraction of a 0-form returns the zero
-0-form for the same reason.  Zero forms compare equal regardless of their
-nominal degree and may be added to a form of any degree.
+normalize to the empty map, so chain-complex code needs no special cases
+at the ends.  Contraction of a 0-form returns the zero 0-form for the same
+reason.  Zero forms compare equal regardless of their nominal degree and
+may be added to a form of any degree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -32,14 +35,20 @@ from feforms.polynomial import (
 
 
 class PolyForm:
-    """Immutable polynomial differential k-form on R^n."""
+    """Immutable polynomial differential k-form on R^n.
 
-    __slots__ = ("n", "k", "components")
+    `terms` maps each monomial form (sigma, alpha), standing for
+    x^alpha dx^sigma, to its nonzero Fraction coefficient; do not mutate it
+    after construction.  The public constructor takes the per-alternator
+    map {sigma: Polynomial or number}, validates it and flattens it.
+    """
+
+    __slots__ = ("n", "k", "terms")
 
     def __init__(self, n: int, k: int, components: dict | None = None):
         if n < 0 or k < 0:
             raise ValueError(f"need n >= 0 and k >= 0, got n={n}, k={k}")
-        clean: dict[tuple, Polynomial] = {}
+        terms: dict = {}
         if k <= n:
             for sigma, a in (components or {}).items():
                 sigma = check_sigma(sigma, n)
@@ -49,21 +58,20 @@ class PolyForm:
                     a = Polynomial.constant(n, a)
                 if a.n != n:
                     raise ValueError("coefficient dimension mismatch")
-                if not a.is_zero:
-                    clean[sigma] = a
+                for alpha, c in a.terms.items():
+                    terms[sigma, alpha] = c
         self.n = n
         self.k = k
-        self.components = clean
+        self.terms = terms
 
     @classmethod
-    def _of(cls, n: int, k: int, components: dict) -> "PolyForm":
-        """Trusted constructor for calculus on validated forms: `components`
-        maps valid length-k alternators to Polynomials on R^n.  Zero
-        components are dropped."""
+    def _of(cls, n: int, k: int, terms: dict) -> "PolyForm":
+        """Trusted constructor for calculus on validated forms: `terms` maps
+        valid (sigma, alpha) keys of k-forms on R^n to nonzero Fractions."""
         u = object.__new__(cls)
         u.n = n
         u.k = k
-        u.components = {s: a for s, a in components.items() if a.terms}
+        u.terms = terms
         return u
 
     # -- constructors ---------------------------------------------------
@@ -93,28 +101,30 @@ class PolyForm:
 
     @property
     def is_zero(self) -> bool:
-        return not self.components
+        return not self.terms
+
+    @property
+    def components(self) -> dict:
+        """The per-alternator view {sigma: Polynomial coefficient of dx^sigma},
+        built anew on each access; alternators with no term are absent."""
+        comps: dict = {}
+        for (sigma, alpha), c in self.terms.items():
+            comps.setdefault(sigma, {})[alpha] = c
+        return {s: Polynomial._of(self.n, t) for s, t in comps.items()}
 
     def component(self, sigma) -> Polynomial:
         return self.components.get(tuple(sigma), Polynomial.zero(self.n))
 
     def items(self):
         """Components as (sigma, Polynomial) pairs in lexicographic order."""
-        return [(s, self.components[s]) for s in sorted(self.components)]
+        comps = self.components
+        return [(s, comps[s]) for s in sorted(comps)]
 
     def degree(self):
         """Largest coefficient degree, NEG_INF for the zero form."""
-        if not self.components:
+        if not self.terms:
             return NEG_INF
-        return max(a.degree() for a in self.components.values())
-
-    def coefficient_dict(self) -> dict:
-        """Flat {(sigma, alpha): Fraction} view used by rank computations."""
-        out = {}
-        for sigma, a in self.components.items():
-            for alpha, c in a.terms.items():
-                out[(sigma, alpha)] = c
-        return out
+        return max(sum(alpha) for _, alpha in self.terms)
 
     # -- linear structure -------------------------------------------------
 
@@ -130,25 +140,26 @@ class PolyForm:
             return other
         if other.is_zero:
             return self
-        comps = dict(self.components)
-        for s, a in other.components.items():
-            b = comps.get(s)
-            comps[s] = a if b is None else b + a
-        return PolyForm._of(self.n, self.k, comps)
+        return _sum(self.n, self.k, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "PolyForm":
         return PolyForm._of(self.n, self.k,
-                            {s: -a for s, a in self.components.items()})
+                            {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
 
     def __mul__(self, other) -> "PolyForm":
-        """Multiply by a scalar or a Polynomial, componentwise."""
+        """Multiply by a scalar, or by a Polynomial as a 0-form wedge."""
         if isinstance(other, PolyForm):
             raise TypeError("use wedge() for products of forms")
+        if isinstance(other, Polynomial):
+            return wedge(PolyForm.from_polynomial(other), self)
+        c = Fraction(other)
+        if not c:
+            return PolyForm.zero(self.n, self.k)
         return PolyForm._of(self.n, self.k,
-                            {s: a * other for s, a in self.components.items()})
+                            {key: c * v for key, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -158,7 +169,7 @@ class PolyForm:
         if self.is_zero and other.is_zero:
             return True
         return (self.n == other.n and self.k == other.k
-                and self.components == other.components)
+                and self.terms == other.terms)
 
     __hash__ = None
 
@@ -169,56 +180,49 @@ class PolyForm:
         return wedge(self, other)
 
 
+def _sum(n: int, k: int, pairs) -> PolyForm:
+    """Sum ((sigma, alpha), c) pairs into a k-form on R^n, deleting entries
+    that cancel, so no zero coefficient is kept."""
+    terms: dict = {}
+    for key, c in pairs:
+        if key in terms:
+            c += terms[key]
+            if not c:
+                del terms[key]
+                continue
+        terms[key] = c
+    return PolyForm._of(n, k, terms)
+
+
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
-    """Exterior product, computed componentwise through merge signs."""
+    """Exterior product, term by term through merge signs."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    k = a.k + b.k
-    comps: dict = {}
-    for sa, pa in a.components.items():
-        for sb, pb in b.components.items():
-            sign, merged = merge(sa, sb)
-            if sign == 0:
-                continue
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            old = comps.get(merged)
-            comps[merged] = term if old is None else old + term
-    return PolyForm._of(a.n, k, comps)
 
+    def pairs():
+        for (sa, alpha), x in a.terms.items():
+            for (sb, beta), y in b.terms.items():
+                sign, merged = merge(sa, sb)
+                if sign:
+                    yield (merged, tuple(map(add, alpha, beta))), sign * x * y
 
-def _form_from_terms(n: int, k: int, terms) -> PolyForm:
-    """Sum (sigma, alpha, c) terms into a k-form on R^n, deleting entries
-    that cancel, so no zero coefficient or empty component is kept."""
-    comps: dict = {}
-    for sigma, alpha, c in terms:
-        got = comps.setdefault(sigma, {})
-        if alpha in got:
-            c += got[alpha]
-            if not c:
-                del got[alpha]
-                continue
-        got[alpha] = c
-    return PolyForm._of(n, k, {s: Polynomial._of(n, t) for s, t in comps.items()})
+    return _sum(a.n, a.k + b.k, pairs())
 
 
 def exterior_derivative(u: PolyForm) -> PolyForm:
     """d(a dx^sigma) = sum_j (da/dx^j) dx^j ^ dx^sigma, on exponent tuples:
     each term c x^alpha dx^sigma with alpha_j > 0 and j not in sigma sends
-    sign * alpha_j * c to x^(alpha - e_j) dx^(merge(j, sigma)).  No
-    polynomial is differentiated or multiplied."""
-    def terms():
-        for sigma, a in u.components.items():
-            for j in range(1, u.n + 1):
-                sign, merged = merge((j,), sigma)
-                if sign:
-                    for alpha, c in a.terms.items():
-                        if e := alpha[j - 1]:
-                            beta = alpha[:j - 1] + (e - 1,) + alpha[j:]
-                            yield merged, beta, c * (sign * e)
+    (-1)^p * alpha_j * c to x^(alpha - e_j) dx^(sigma with j inserted at
+    position p).  No polynomial is differentiated or multiplied."""
+    def pairs():
+        for (sigma, alpha), c in u.terms.items():
+            for j, e in enumerate(alpha, 1):
+                if e and j not in sigma:
+                    pos = bisect(sigma, j)
+                    beta = alpha[:j - 1] + (e - 1,) + alpha[j:]
+                    yield (sigma[:pos] + (j,) + sigma[pos:], beta), c * (-e if pos % 2 else e)
 
-    return _form_from_terms(u.n, u.k + 1, terms())
+    return _sum(u.n, u.k + 1, pairs())
 
 
 def koszul(u: PolyForm) -> PolyForm:
@@ -229,15 +233,13 @@ def koszul(u: PolyForm) -> PolyForm:
     if u.k == 0:
         return PolyForm.zero(u.n, 0)
 
-    def terms():
-        for sigma, a in u.components.items():
+    def pairs():
+        for (sigma, alpha), c in u.terms.items():
             for pos, s in enumerate(sigma):
-                rest = sigma[:pos] + sigma[pos + 1:]
-                for alpha, c in a.terms.items():
-                    beta = alpha[:s - 1] + (alpha[s - 1] + 1,) + alpha[s:]
-                    yield rest, beta, -c if pos % 2 else c
+                beta = alpha[:s - 1] + (alpha[s - 1] + 1,) + alpha[s:]
+                yield (sigma[:pos] + sigma[pos + 1:], beta), -c if pos % 2 else c
 
-    return _form_from_terms(u.n, u.k - 1, terms())
+    return _sum(u.n, u.k - 1, pairs())
 
 
 def ldeg(alpha, sigma) -> int:
@@ -415,22 +417,17 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
     if k > m:
         return PolyForm.zero(m, k)
     if f._coords is not None:  # a coordinate chart: reindex alone
-        return _form_from_terms(m, k, [
-            (*key, c) for sigma, a in u.components.items() for alpha, c in a.terms.items()
-            if (key := _coordinate_trace(f._coords, sigma, alpha))])
+        return _sum(m, k, [(key, c) for (sigma, alpha), c in u.terms.items()
+                           if (key := _coordinate_trace(f._coords, sigma, alpha))])
     taus = enumerate_sigma(k, m)
-    comps: dict = {}
+    pairs = []
     for sigma, a in u.components.items():
-        a_t = f.substitute(a)
-        if a_t.is_zero:
-            continue
+        a_t = f.substitute(a).terms
         for tau in taus:
             det = f.minor(sigma, tau)
             if det:
-                term = a_t * det
-                old = comps.get(tau)
-                comps[tau] = term if old is None else old + term
-    return PolyForm._of(m, k, comps)
+                pairs += [((tau, beta), c * det) for beta, c in a_t.items()]
+    return _sum(m, k, pairs)
 
 
 def monomial_trace(chart: AffineEmbedding, sigma, alpha) -> list:
@@ -443,7 +440,7 @@ def monomial_trace(chart: AffineEmbedding, sigma, alpha) -> list:
     tr = pullback(PolyForm.monomial(chart.target_dim, alpha, sigma), chart)
     # integral coefficients as ints: summing Fractions is slower
     return [(key, c.numerator if c.denominator == 1 else c)
-            for key, c in tr.coefficient_dict().items()]
+            for key, c in tr.terms.items()]
 
 
 # -- exact integration -----------------------------------------------------
@@ -538,7 +535,7 @@ class FaceMoments:
         if q.n != d or tr.k + q.k != d:
             raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
                              f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
-        terms = tr.coefficient_dict()
+        terms = tr.terms
         den = lcm(*[c.denominator for c in terms.values()])
         m, scale = self.scaled(q, terms)
         return Fraction(sum([terms[key].numerator * (den // terms[key].denominator) * v
@@ -625,11 +622,10 @@ def form_to_string(u: PolyForm) -> str:
     if u.is_zero:
         return "0"
     parts = []
-    for sigma, poly in u.items():
+    for sigma, alpha in sorted(u.terms):
         dx = "^".join(f"dx{s}" for s in sigma)
-        for alpha in sorted(poly.terms):
-            term = monomial_string(poly.terms[alpha], alpha)
-            parts.append(f"{term} {dx}".strip())
+        term = monomial_string(u.terms[sigma, alpha], alpha)
+        parts.append(f"{term} {dx}".strip())
     return " + ".join(parts)
 
 

@@ -187,6 +187,8 @@ class LUFactor:
 
     def solve(self, b: list) -> list[Fraction]:
         n = self.n
+        if len(b) != n:
+            raise ValueError(f"right-hand side has length {len(b)}, need {n}")
         y = [Fraction(b[self.perm[i]]) for i in range(n)]
         for i in range(n):
             row = self.lu[i]

@@ -37,7 +37,6 @@ from feforms.forms import (
     koszul,
     ldeg,
 )
-from feforms.polynomial import Polynomial
 
 _ONE = Fraction(1)
 
@@ -100,12 +99,12 @@ class SpanChecker:
     def add(self, form: PolyForm) -> bool:
         if form.is_zero:
             return False
-        return self._ech.add_fractions(form.coefficient_dict())
+        return self._ech.add_fractions(form.terms)
 
     def contains(self, form: PolyForm) -> bool:
         if form.is_zero:
             return True
-        return self._ech.contains(form.coefficient_dict())
+        return self._ech.contains(form.terms)
 
 
 class SpaceBasis:
@@ -160,7 +159,7 @@ def spans_equal(forms_a, forms_b) -> bool:
 def _monomial_form(n: int, alpha: tuple, sigma: tuple) -> PolyForm:
     """x^alpha dx^sigma through the trusted constructors: alpha must be a
     length-n exponent tuple and sigma an increasing tuple in 1..n."""
-    return PolyForm._of(n, len(sigma), {sigma: Polynomial._of(n, {alpha: _ONE})})
+    return PolyForm._of(n, len(sigma), {(sigma, alpha): _ONE})
 
 
 def monomial_forms(n: int, k: int, max_degree: int) -> list[PolyForm]:

@@ -333,14 +333,14 @@ def pullback_dof_matrix(forms, dofset) -> list[list[int]]:
     its weight over every trace monomial of its face."""
     scaled = []
     for f in forms:
-        den = lcm(*[c.denominator for a in f.components.values() for c in a.terms.values()])
+        den = lcm(*[c.denominator for c in f.terms.values()])
         scaled.append(f if den == 1 else f * den)
     if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in scaled):
         raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
     moments = FaceMoments(dofset.spec.element)
     rows = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
-        traces = [pullback(f, face.embedding).coefficient_dict() for f in scaled]
+        traces = [pullback(f, face.embedding).terms for f in scaled]
         if any(c.denominator != 1 for tr in traces for c in tr.values()):
             raise ValueError(f"a trace on face {face.label} is not integral")
         traces = [[(key, c.numerator) for key, c in tr.items()] for tr in traces]

@@ -518,13 +518,16 @@ def test_box_integrals_match_iterated_antiderivatives(data, n):
 
 
 def assert_invariant(u: PolyForm):
-    """No stored zero, and equal to its rebuild by the public constructor."""
-    for sigma, a in u.components.items():
-        assert a.terms and a.n == u.n and len(sigma) == u.k
-        assert all(isinstance(c, Fraction) and c for c in a.terms.values())
-    rebuilt = PolyForm(u.n, u.k, {s: Polynomial(u.n, dict(a.terms))
-                                  for s, a in u.components.items()})
-    assert rebuilt == u and rebuilt.components == u.components
+    """Every key of `terms` is a monomial form (sigma, alpha) of a k-form on
+    R^n, every value a nonzero Fraction, and the rebuild by the public
+    constructor from the per-alternator view has equal terms."""
+    for (sigma, alpha), c in u.terms.items():
+        assert len(sigma) == u.k and all(1 <= s <= u.n for s in sigma)
+        assert all(s < t for s, t in zip(sigma, sigma[1:]))
+        assert len(alpha) == u.n and all(type(e) is int and e >= 0 for e in alpha)
+        assert type(c) is Fraction and c
+    rebuilt = PolyForm(u.n, u.k, u.components)
+    assert rebuilt == u and rebuilt.terms == u.terms
 
 
 @settings(max_examples=80, deadline=None)
@@ -536,6 +539,7 @@ def test_trusted_constructors_match_validating_ones(data, n):
     a, b = validated(n, k, ta), validated(n, k, tb)
     c = data.draw(random_forms(n, j))
     s = data.draw(RATIONALS)
+    p = data.draw(random_forms(n, 0)).component(())
     # few distinct entries, so that pulled-back terms often cancel
     entries = st.sampled_from([0, 1, -1, Fraction(1, 2)])
     m = data.draw(st.integers(0, n))
@@ -561,8 +565,11 @@ def test_trusted_constructors_match_validating_ones(data, n):
                           sign * x * y)
                          for al, x in pa.terms.items() for be, y in pc.terms.items()]
     assert wedge(a, c) == validated(n, k + j, want)
+    assert a * p == validated(n, k, [(sg, tuple(x + y for x, y in zip(al, be)), v * w)
+                                     for sg, al, v in ta for be, w in p.terms.items()])
 
-    for u in (a + b, a - b, a * s, a * 0, wedge(a, c), graded, pullback(a, chart)):
+    for u in (a + b, a - b, a * s, a * 0, a * p, wedge(a, c), graded, pullback(a, chart),
+              exterior_derivative(a), koszul(a)):
         assert_invariant(u)
 
 

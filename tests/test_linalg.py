@@ -42,6 +42,16 @@ def test_solve_and_lu():
     assert lu.solve([Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
 
 
+@pytest.mark.parametrize("b", [[3, 2, 99], [3], []])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(b):
+    a = [[2, 1], [1, 1]]
+    assert linalg.solve(a, [3, 2]) == [1, 1]
+    with pytest.raises(ValueError, match="right-hand side"):
+        linalg.solve(a, b)
+    with pytest.raises(ValueError, match="right-hand side"):
+        linalg.LUFactor(a).solve(b)
+
+
 def test_solve_singular():
     with pytest.raises(linalg.SingularMatrixError):
         linalg.solve([[1, 2], [2, 4]], [1, 1])

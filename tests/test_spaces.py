@@ -110,6 +110,29 @@ def test_basis_S_sizes():
     assert basis_S(3, 0, 2).dim == 12
 
 
+def test_bases_d_and_koszul_build_no_polynomial(monkeypatch):
+    """Basis forms are built, contracted and differentiated on their flat
+    term maps: no per-alternator Polynomial is made on the way."""
+    from feforms import spaces
+
+    for name in ("basis_P", "basis_H", "basis_Hrl", "basis_J"):
+        monkeypatch.setattr(spaces, name, getattr(spaces, name).__wrapped__)  # uncached
+    made = []
+    init, of = Polynomial.__init__, Polynomial._of.__func__
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, *a, **kw: made.append(a) or init(self, *a, **kw))
+    monkeypatch.setattr(Polynomial, "_of",
+                        classmethod(lambda cls, *a: made.append(a) or of(cls, *a)))
+    bases = [basis_S.__wrapped__(3, 1, 3), basis_Pminus.__wrapped__(3, 1, 3)]
+    for basis in bases:
+        assert basis.dim
+        for f in basis.forms:
+            exterior_derivative(koszul(f))
+    assert made == []
+    PolyForm.dx(3, 1).components  # the counters do see both constructors
+    assert len(made) == 2
+
+
 def test_basis_Qminus_sizes():
     assert basis_Qminus(2, 1, 3).dim == 54
     assert basis_Qminus(1, 0, 2).dim == 4
