@@ -172,7 +172,7 @@ def check_homotopy(n: int, r: int, k: int, trials: int = 0) -> Certificate:
     if r < 0 or not 0 <= k <= n:
         raise ValueError(f"need r >= 0 and 0 <= k <= n, got n={n}, r={r}, k={k}")
     basis = basis_H(r, k, n)
-    factor = Fraction(r + k)
+    factor = r + k
     failures = []
     for w in basis:
         lhs = koszul(exterior_derivative(w)) + exterior_derivative(koszul(w))

@@ -1,7 +1,8 @@
 """Polynomial differential forms and their exact calculus.
 
 A k-form u = sum c x^alpha dx^sigma is stored as one flat map
-{(sigma, alpha): c} from monomial forms to nonzero Fraction coefficients:
+{(sigma, alpha): c} from monomial forms to nonzero rational coefficients,
+each an int when integral and else a Fraction (`polynomial.exact`):
 sigma is an increasing alternator of length k and alpha a length-n exponent
 tuple.  Wedge, exterior derivative, contraction with the position field and
 affine pullback act term by term on this map and stay inside rational
@@ -28,6 +29,7 @@ from feforms.polynomial import (
     DegenerateSimplexError,
     NEG_INF,
     Polynomial,
+    exact,
     monomial_string,
     rational_from_string,
     substitute,
@@ -38,7 +40,7 @@ class PolyForm:
     """Immutable polynomial differential k-form on R^n.
 
     `terms` maps each monomial form (sigma, alpha), standing for
-    x^alpha dx^sigma, to its nonzero Fraction coefficient; do not mutate it
+    x^alpha dx^sigma, to its nonzero `exact` coefficient; do not mutate it
     after construction.  The public constructor takes the per-alternator
     map {sigma: Polynomial or number}, validates it and flattens it.
     """
@@ -67,7 +69,8 @@ class PolyForm:
     @classmethod
     def _of(cls, n: int, k: int, terms: dict) -> "PolyForm":
         """Trusted constructor for calculus on validated forms: `terms` maps
-        valid (sigma, alpha) keys of k-forms on R^n to nonzero Fractions."""
+        valid (sigma, alpha) keys of k-forms on R^n to nonzero `exact`
+        values: ints, or Fractions that are not integral."""
         u = object.__new__(cls)
         u.n = n
         u.k = k
@@ -115,11 +118,6 @@ class PolyForm:
     def component(self, sigma) -> Polynomial:
         return self.components.get(tuple(sigma), Polynomial.zero(self.n))
 
-    def items(self):
-        """Components as (sigma, Polynomial) pairs in lexicographic order."""
-        comps = self.components
-        return [(s, comps[s]) for s in sorted(comps)]
-
     def degree(self):
         """Largest coefficient degree, NEG_INF for the zero form."""
         if not self.terms:
@@ -155,11 +153,10 @@ class PolyForm:
             raise TypeError("use wedge() for products of forms")
         if isinstance(other, Polynomial):
             return wedge(PolyForm.from_polynomial(other), self)
-        c = Fraction(other)
+        c = exact(other)
         if not c:
             return PolyForm.zero(self.n, self.k)
-        return PolyForm._of(self.n, self.k,
-                            {key: c * v for key, v in self.terms.items()})
+        return _sum(self.n, self.k, ((key, c * v) for key, v in self.terms.items()))
 
     __rmul__ = __mul__
 
@@ -181,8 +178,9 @@ class PolyForm:
 
 
 def _sum(n: int, k: int, pairs) -> PolyForm:
-    """Sum ((sigma, alpha), c) pairs into a k-form on R^n, deleting entries
-    that cancel, so no zero coefficient is kept."""
+    """Sum ((sigma, alpha), c) pairs of ints and Fractions into a k-form on
+    R^n, deleting entries that cancel, so no zero coefficient is kept, and
+    storing an integral Fraction as its numerator."""
     terms: dict = {}
     for key, c in pairs:
         if key in terms:
@@ -190,7 +188,7 @@ def _sum(n: int, k: int, pairs) -> PolyForm:
             if not c:
                 del terms[key]
                 continue
-        terms[key] = c
+        terms[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
     return PolyForm._of(n, k, terms)
 
 
@@ -268,8 +266,8 @@ class AffineEmbedding:
                  "_powers", "_minors", "_images", "_coords")
 
     def __init__(self, matrix, offset):
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-        offset = tuple(Fraction(v) for v in offset)
+        matrix = tuple(tuple(exact(v) for v in row) for row in matrix)
+        offset = tuple(exact(v) for v in offset)
         n = len(offset)
         if len(matrix) != n:
             raise ValueError("matrix row count does not match offset length")
@@ -287,8 +285,8 @@ class AffineEmbedding:
 
     @classmethod
     def identity(cls, n: int) -> "AffineEmbedding":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                         for i in range(n)), (Fraction(0),) * n)
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                   (0,) * n)
 
     @classmethod
     def translation(cls, shift) -> "AffineEmbedding":
@@ -297,7 +295,7 @@ class AffineEmbedding:
     @classmethod
     def from_simplex(cls, vertices) -> "AffineEmbedding":
         """Chart of the standard simplex onto conv(vertices), vertex order kept."""
-        verts = [tuple(Fraction(c) for c in v) for v in vertices]
+        verts = [tuple(exact(c) for c in v) for v in vertices]
         d = len(verts) - 1
         n = len(verts[0]) if verts else 0
         if any(len(v) != n for v in verts):
@@ -309,9 +307,9 @@ class AffineEmbedding:
     @classmethod
     def from_box(cls, bounds) -> "AffineEmbedding":
         """Chart of the unit box onto the axis-aligned box with given bounds."""
-        bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
+        bounds = [(exact(lo), exact(hi)) for lo, hi in bounds]
         n = len(bounds)
-        matrix = tuple(tuple((b[1] - b[0]) if i == j else Fraction(0)
+        matrix = tuple(tuple((b[1] - b[0]) if i == j else 0
                              for j, b in enumerate(bounds)) for i in range(n))
         return cls(matrix, tuple(b[0] for b in bounds))
 
@@ -332,7 +330,7 @@ class AffineEmbedding:
                             for row, c in zip(self.matrix, self.offset)]
         return substitute(p, self._images, self.source_dim, self._powers)
 
-    def minor(self, sigma, tau) -> Fraction:
+    def minor(self, sigma, tau):
         """det of the submatrix with rows sigma and columns tau (1-based)."""
         key = (sigma, tau)
         got = self._minors.get(key)
@@ -341,7 +339,7 @@ class AffineEmbedding:
             self._minors[key] = got
         return got
 
-    def jacobian_det(self) -> Fraction:
+    def jacobian_det(self):
         if self.source_dim != self.target_dim:
             raise ValueError("jacobian determinant needs a square map")
         d = self.source_dim
@@ -349,22 +347,16 @@ class AffineEmbedding:
         return self.minor(full, full)
 
 
-def _det(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    if n == 2:
-        return Fraction(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    total = Fraction(0)
-    sign = 1
-    for j in range(n):
-        if rows[0][j]:
-            sub = [[row[l] for l in range(n) if l != j] for row in rows[1:]]
-            total += sign * rows[0][j] * _det(sub)
-        sign = -sign
-    return total
+def _det(rows):
+    """Laplace expansion along the first row, of and to `exact` values."""
+    if not rows:
+        return 1
+    total = 0
+    for j, a in enumerate(rows[0]):
+        if a:
+            sub = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total += (-a if j % 2 else a) * _det(sub)
+    return exact(total)
 
 
 def _coordinate_axes(matrix, offset, m: int):
@@ -438,9 +430,7 @@ def monomial_trace(chart: AffineEmbedding, sigma, alpha) -> list:
         key = _coordinate_trace(chart._coords, sigma, alpha)
         return [(key, 1)] if key else []
     tr = pullback(PolyForm.monomial(chart.target_dim, alpha, sigma), chart)
-    # integral coefficients as ints: summing Fractions is slower
-    return [(key, c.numerator if c.denominator == 1 else c)
-            for key, c in tr.terms.items()]
+    return list(tr.terms.items())
 
 
 # -- exact integration -----------------------------------------------------
@@ -481,7 +471,7 @@ def integrate_simplex(u: PolyForm, vertices) -> Fraction:
     The orientation is that of the vertex order: swapping two vertices
     flips the sign.  Raises DegenerateSimplexError on flat input.
     """
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+    verts = [tuple(exact(c) for c in v) for v in vertices]
     d = len(verts) - 1
     if u.k != d or u.n != d:
         raise ValueError(f"need a {d}-form on R^{d} for a {d}-simplex")
@@ -493,7 +483,7 @@ def integrate_simplex(u: PolyForm, vertices) -> Fraction:
 
 def integrate_box(u: PolyForm, bounds) -> Fraction:
     """Integral of a top form over an axis-aligned box given as (lo, hi) pairs."""
-    bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
+    bounds = [(exact(lo), exact(hi)) for lo, hi in bounds]
     n = len(bounds)
     if u.k != n or u.n != n:
         raise ValueError(f"need an {n}-form on R^{n} for an {n}-box")
@@ -581,7 +571,7 @@ class FaceMoments:
 
 def std_simplex_vertices(d: int):
     """Vertices (0, e_1, ..., e_d) of the standard simplex in Q^d."""
-    return [tuple(Fraction(int(j == i - 1)) for j in range(d)) for i in range(d + 1)]
+    return [tuple(int(j == i - 1) for j in range(d)) for i in range(d + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -606,11 +596,11 @@ def box_face_chart(n: int, axes, bits) -> AffineEmbedding:
     for axis in range(1, n + 1):
         if axis in axes:
             pos = axes.index(axis)
-            rows.append(tuple(Fraction(int(j == pos)) for j in range(d)))
-            offset.append(Fraction(0))
+            rows.append(tuple(int(j == pos) for j in range(d)))
+            offset.append(0)
         else:
-            rows.append((Fraction(0),) * d)
-            offset.append(Fraction(next(fixed)))
+            rows.append((0,) * d)
+            offset.append(next(fixed))
     return AffineEmbedding(tuple(rows), tuple(offset))
 
 

@@ -41,16 +41,13 @@ def _normalize(row: dict) -> dict:
 
 
 def int_row(row: dict) -> dict:
-    """Rescale a sparse row of ints or Fractions to coprime integers."""
-    denom = 1
-    for v in row.values():
-        denom = lcm(denom, v.denominator)
-    out = {}
-    for c, v in row.items():
-        w = v.numerator * (denom // v.denominator)
-        if w:
-            out[c] = w
-    return _normalize(out)
+    """A sparse row of ints or Fractions as a proportional row of ints: a
+    row of ints as it is, else times the lcm of its denominators.  The
+    `Echelon` divides out the gcd when it reduces the row."""
+    if Fraction not in set(map(type, row.values())):
+        return row
+    denom = lcm(*[v.denominator for v in row.values()])
+    return {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
 
 
 class Echelon:
@@ -95,6 +92,7 @@ class Echelon:
         return True
 
     def add_fractions(self, row: dict) -> bool:
+        """Feed a row of ints or Fractions; True when it enlarges the span."""
         return self.add(int_row(row))
 
     def contains(self, row: dict) -> bool:

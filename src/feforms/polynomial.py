@@ -1,7 +1,8 @@
 """Exact multivariate polynomials over the rationals.
 
 A polynomial in the Cartesian variables x1..xn is a dict mapping length-n
-exponent tuples to Fraction coefficients; zero coefficients are never
+exponent tuples to rational coefficients in the one form `exact` gives
+them: an int when integral, else a Fraction.  Zero coefficients are never
 stored and the zero polynomial is the empty dict.  The degree of the zero
 polynomial is the sentinel NEG_INF, so predicates like ``p.degree() <= r``
 accept zero for every r.
@@ -31,6 +32,20 @@ def rational_to_string(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def exact(c):
+    """The rational c in its one stored form: an int when c is integral,
+    else a Fraction.  Raises TypeError on a float or a bool, which are not
+    exact rationals."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, (float, bool)):
+            raise TypeError(f"{c!r} is not an exact rational; "
+                            "pass an int, a Fraction or a 'p/q' string")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def rational_from_string(s: str) -> Fraction:
     try:
         return Fraction(s.strip())
@@ -46,11 +61,11 @@ class Polynomial:
     def __init__(self, n: int, terms: dict | None = None):
         if n < 0:
             raise ValueError(f"ambient dimension must be nonnegative, got {n}")
-        clean: dict[MultiIndex, Fraction] = {}
+        clean: dict[MultiIndex, int | Fraction] = {}
         for alpha, c in (terms or {}).items():
             if len(alpha) != n or any(e < 0 for e in alpha):
                 raise ValueError(f"bad exponent tuple {alpha!r} for n={n}")
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 clean[tuple(alpha)] = c
         self.n = n
@@ -59,7 +74,7 @@ class Polynomial:
     @classmethod
     def _of(cls, n: int, terms: dict) -> "Polynomial":
         """Trusted constructor for arithmetic that already keeps the invariant:
-        `terms` maps length-n exponent tuples to nonzero Fractions."""
+        `terms` maps length-n exponent tuples to nonzero `exact` values."""
         p = object.__new__(cls)
         p.n = n
         p.terms = terms
@@ -73,7 +88,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, value) -> "Polynomial":
-        return cls(n, {(0,) * n: Fraction(value)})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def variable(cls, n: int, j: int) -> "Polynomial":
@@ -81,11 +96,11 @@ class Polynomial:
         if not 1 <= j <= n:
             raise ValueError(f"variable index {j} out of range 1..{n}")
         alpha = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return cls(n, {alpha: Fraction(1)})
+        return cls(n, {alpha: 1})
 
     @classmethod
     def monomial(cls, n: int, alpha, coeff=1) -> "Polynomial":
-        return cls(n, {tuple(alpha): Fraction(coeff)})
+        return cls(n, {tuple(alpha): coeff})
 
     # -- ring operations ------------------------------------------------
 
@@ -105,7 +120,7 @@ class Polynomial:
         for a, c in other.terms.items():
             s = terms.get(a, 0) + c
             if s:
-                terms[a] = s
+                terms[a] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
             else:
                 terms.pop(a, None)
         return Polynomial._of(self.n, terms)
@@ -122,10 +137,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = exact(other)
             if not c:
                 return Polynomial.zero(self.n)
-            return Polynomial._of(self.n, {a: c * v for a, v in self.terms.items()})
+            return Polynomial._of(self.n, {a: exact(c * v) for a, v in self.terms.items()})
         self._check(other)
         out: dict = {}
         for a, ca in self.terms.items():
@@ -133,7 +150,7 @@ class Polynomial:
                 key = tuple(x + y for x, y in zip(a, b))
                 s = out.get(key, 0) + ca * cb
                 if s:
-                    out[key] = s
+                    out[key] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
                 else:
                     out.pop(key, None)
         return Polynomial._of(self.n, out)
@@ -238,7 +255,7 @@ def substitute(p: Polynomial, images: list[Polynomial], m: int,
         for b, v in image(alpha).terms.items():
             s = out.get(b, 0) + c * v
             if s:
-                out[b] = s
+                out[b] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
             else:
                 out.pop(b, None)
     return Polynomial._of(m, out)

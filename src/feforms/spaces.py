@@ -22,7 +22,6 @@ rank-certified at construction.  Construction is memoized per spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
@@ -37,8 +36,6 @@ from feforms.forms import (
     koszul,
     ldeg,
 )
-
-_ONE = Fraction(1)
 
 
 class Family(NamedTuple):
@@ -159,7 +156,7 @@ def spans_equal(forms_a, forms_b) -> bool:
 def _monomial_form(n: int, alpha: tuple, sigma: tuple) -> PolyForm:
     """x^alpha dx^sigma through the trusted constructors: alpha must be a
     length-n exponent tuple and sigma an increasing tuple in 1..n."""
-    return PolyForm._of(n, len(sigma), {(sigma, alpha): _ONE})
+    return PolyForm._of(n, len(sigma), {(sigma, alpha): 1})
 
 
 def monomial_forms(n: int, k: int, max_degree: int) -> list[PolyForm]:

@@ -74,7 +74,7 @@ def antiderivative(p: Polynomial, j: int) -> Polynomial:
     out = {}
     for a, c in p.terms.items():
         b = a[:i] + (a[i] + 1,) + a[i + 1:]
-        out[b] = c / (a[i] + 1)
+        out[b] = Fraction(c, a[i] + 1)
     return Polynomial(p.n, out)
 
 

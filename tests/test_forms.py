@@ -517,15 +517,22 @@ def test_box_integrals_match_iterated_antiderivatives(data, n):
     assert integrate_unit_box(u) == iterated_box_integral(top, [(0, 1)] * n)
 
 
+def is_stored_rational(c) -> bool:
+    """c is a rational in its one stored form: an int, or a Fraction that
+    is not integral; never a float, a bool or an integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def assert_invariant(u: PolyForm):
     """Every key of `terms` is a monomial form (sigma, alpha) of a k-form on
-    R^n, every value a nonzero Fraction, and the rebuild by the public
-    constructor from the per-alternator view has equal terms."""
+    R^n, every value a nonzero rational in its one stored form, and the
+    rebuild by the public constructor from the per-alternator view has
+    equal terms."""
     for (sigma, alpha), c in u.terms.items():
         assert len(sigma) == u.k and all(1 <= s <= u.n for s in sigma)
         assert all(s < t for s, t in zip(sigma, sigma[1:]))
         assert len(alpha) == u.n and all(type(e) is int and e >= 0 for e in alpha)
-        assert type(c) is Fraction and c
+        assert is_stored_rational(c) and c
     rebuilt = PolyForm(u.n, u.k, u.components)
     assert rebuilt == u and rebuilt.terms == u.terms
 
@@ -581,6 +588,38 @@ def test_trusted_arithmetic_drops_cancelled_terms():
     u = PolyForm(2, 1, {(1,): x1 - x2, (2,): x2 * x2 - x1 * x2})
     assert pullback(u, diagonal).components == {}
     assert (x1 - x1).terms == {} and (u - u).components == {}
+
+
+def test_integral_results_are_stored_as_ints():
+    half = form_from_string("1/2 x1 dx1", 2, 1)
+    assert half + half == PolyForm.monomial(2, (1, 0), (1,))
+    assert (half + half).terms == {((1,), (1, 0)): 1}
+    scale = AffineEmbedding([[2, 0], [0, 2]], [0, 0])
+    results = [half + half, 2 * half, Fraction(2) * half,
+               exterior_derivative(form_from_string("1/2 x1^2", 2, 0)),
+               wedge(half, 2 * PolyForm.dx(2, 2)), pullback(half, scale)]
+    for u in results:
+        assert_invariant(u)
+        assert all(type(c) is int for c in u.terms.values()), u
+
+
+def test_polynomial_times_form_is_the_wedge_either_way():
+    x1, dx1 = Polynomial.variable(2, 1), PolyForm.dx(2, 1)
+    assert x1 * dx1 == dx1 * x1 == PolyForm.monomial(2, (1, 0), (1,))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True])
+def test_float_and_bool_form_coefficients_are_refused(bad):
+    with pytest.raises(TypeError):
+        PolyForm(2, 0, {(): bad})
+    with pytest.raises(TypeError):
+        PolyForm.monomial(2, (1, 0), (1,), bad)
+    with pytest.raises(TypeError):
+        PolyForm.dx(2, 1) * bad
+    with pytest.raises(TypeError):
+        AffineEmbedding.from_simplex([(0, 0), (1, 0), (0, bad)])
+    with pytest.raises(TypeError):
+        integrate_box(PolyForm.volume(1), [(0, bad)])
 
 
 # -- d and the contraction against the polynomial-arithmetic oracles ----------

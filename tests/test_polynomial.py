@@ -44,6 +44,30 @@ def test_arith_examples():
     assert 2 * Polynomial.monomial(2, (1, 1), Fraction(1, 2)) == Polynomial.monomial(2, (1, 1))
 
 
+def test_integral_coefficients_are_stored_as_ints():
+    p = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): "6/3"})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 2}
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    half = Polynomial.monomial(1, (1,), Fraction(1, 2))
+    doubled = AffineEmbedding([[2]], [0]).substitute(half)
+    for q in (half + half, 2 * half, half * Polynomial.constant(1, 2), doubled):
+        assert q.terms == {(1,): 1} and type(q.terms[(1,)]) is int
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+def test_float_and_bool_coefficients_are_refused(bad):
+    with pytest.raises(TypeError):
+        Polynomial(1, {(0,): bad})
+    with pytest.raises(TypeError):
+        Polynomial.constant(1, bad)
+    with pytest.raises(TypeError):
+        x(1, 1) * bad
+    with pytest.raises(TypeError):
+        AffineEmbedding([[bad]], [0])
+    with pytest.raises(TypeError):
+        AffineEmbedding([[1]], [bad])
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         x(2, 1) + x(3, 1)

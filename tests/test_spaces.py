@@ -133,6 +133,22 @@ def test_bases_d_and_koszul_build_no_polynomial(monkeypatch):
     assert len(made) == 2
 
 
+def test_bases_and_their_d_and_koszul_images_hold_int_coefficients():
+    """The generators are monomial forms with coefficient 1, and d and the
+    contraction have integer coefficients on monomial forms, so every
+    basis and its images under d and the contraction hold ints only."""
+    for n in range(4):
+        for r in range(4):
+            for k in range(n + 1):
+                forms = [*basis_P(r, k, n).forms, *basis_H(r, k, n), *basis_J(r, k, n)]
+                if r >= 1:
+                    forms += [*basis_Pminus(r, k, n).forms, *basis_Qminus(r, k, n).forms,
+                              *basis_S(r, k, n).forms]
+                for f in forms:
+                    for g in (f, exterior_derivative(f), koszul(f)):
+                        assert all(type(c) is int for c in g.terms.values()), g
+
+
 def test_basis_Qminus_sizes():
     assert basis_Qminus(2, 1, 3).dim == 54
     assert basis_Qminus(1, 0, 2).dim == 4
