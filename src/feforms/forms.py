@@ -180,7 +180,7 @@ class PolyForm:
 def _sum(n: int, k: int, pairs) -> PolyForm:
     """Sum ((sigma, alpha), c) pairs of ints and Fractions into a k-form on
     R^n, deleting entries that cancel, so no zero coefficient is kept, and
-    storing an integral Fraction as its numerator."""
+    storing each coefficient in its `exact` form."""
     terms: dict = {}
     for key, c in pairs:
         if key in terms:
@@ -188,7 +188,7 @@ def _sum(n: int, k: int, pairs) -> PolyForm:
             if not c:
                 del terms[key]
                 continue
-        terms[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        terms[key] = exact(c)
     return PolyForm._of(n, k, terms)
 
 

@@ -41,11 +41,9 @@ def _normalize(row: dict) -> dict:
 
 
 def int_row(row: dict) -> dict:
-    """A sparse row of ints or Fractions as a proportional row of ints: a
-    row of ints as it is, else times the lcm of its denominators.  The
-    `Echelon` divides out the gcd when it reduces the row."""
-    if Fraction not in set(map(type, row.values())):
-        return row
+    """A sparse row of ints or Fractions as a proportional row of ints,
+    times the lcm of its denominators.  The `Echelon` divides out the gcd
+    when it reduces the row."""
     denom = lcm(*[v.denominator for v in row.values()])
     return {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
 

@@ -120,7 +120,7 @@ class Polynomial:
         for a, c in other.terms.items():
             s = terms.get(a, 0) + c
             if s:
-                terms[a] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+                terms[a] = exact(s)
             else:
                 terms.pop(a, None)
         return Polynomial._of(self.n, terms)
@@ -137,9 +137,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if not isinstance(other, (int, Fraction)):
+            try:
+                c = exact(other)
+            except (TypeError, ValueError):
                 return NotImplemented
-            c = exact(other)
             if not c:
                 return Polynomial.zero(self.n)
             return Polynomial._of(self.n, {a: exact(c * v) for a, v in self.terms.items()})
@@ -150,7 +151,7 @@ class Polynomial:
                 key = tuple(x + y for x, y in zip(a, b))
                 s = out.get(key, 0) + ca * cb
                 if s:
-                    out[key] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+                    out[key] = exact(s)
                 else:
                     out.pop(key, None)
         return Polynomial._of(self.n, out)
@@ -255,7 +256,7 @@ def substitute(p: Polynomial, images: list[Polynomial], m: int,
         for b, v in image(alpha).terms.items():
             s = out.get(b, 0) + c * v
             if s:
-                out[b] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+                out[b] = exact(s)
             else:
                 out.pop(b, None)
     return Polynomial._of(m, out)

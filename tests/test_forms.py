@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -606,6 +607,13 @@ def test_integral_results_are_stored_as_ints():
 def test_polynomial_times_form_is_the_wedge_either_way():
     x1, dx1 = Polynomial.variable(2, 1), PolyForm.dx(2, 1)
     assert x1 * dx1 == dx1 * x1 == PolyForm.monomial(2, (1, 0), (1,))
+
+
+@pytest.mark.parametrize("scalar", ["1/2", Decimal("0.5"), Fraction(1, 2)])
+def test_scalar_products_accept_the_same_operands(scalar):
+    x1, dx1 = Polynomial.variable(2, 1), PolyForm.dx(2, 1)
+    assert x1 * scalar == scalar * x1 == Polynomial.monomial(2, (1, 0), Fraction(1, 2))
+    assert dx1 * scalar == scalar * dx1 == PolyForm(2, 1, {(1,): Fraction(1, 2)})
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, True])
