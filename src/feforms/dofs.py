@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby, product
-from math import lcm
 
 from feforms import linalg, spaces
 from feforms.forms import (
@@ -140,7 +139,7 @@ def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
     """
     if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in forms):
         raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
-    columns = _integer_columns(forms)
+    columns = [linalg.int_row(f.terms) for f in forms]
     moments = FaceMoments(dofset.spec.element)
     rows: list[list[int]] = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
@@ -182,17 +181,6 @@ def face_traces(columns, face: FaceRef) -> dict:
     return index
 
 
-def _integer_columns(forms) -> list[dict]:
-    """Each form as {(sigma, alpha): int}, scaled by the lcm of its
-    coefficient denominators."""
-    columns = []
-    for f in forms:
-        den = lcm(*[c.denominator for c in f.terms.values()])
-        columns.append({key: c.numerator * (den // c.denominator)
-                        for key, c in f.terms.items()})
-    return columns
-
-
 def per_face_counts(spec: SpaceSpec) -> list[dict]:
     """DOF count attached to a single face of each dimension."""
     dofs_for(spec)  # refuses the specs that carry no DOFs
@@ -232,12 +220,12 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
     forms = monomial_forms(n, k, r - 1)
     cols = len(forms)
     ech = linalg.Echelon()
-    columns = _integer_columns(forms)
+    columns = [linalg.int_row(f.terms) for f in forms]
     for face in reference_faces("simplex", n):
         if face.dim == n - 1:
             index = face_traces(columns, face)
             for key in sorted(index):
-                ech.add_fractions(index[key])
+                ech.add(index[key])
     moments = FaceMoments("simplex")
     for q in monomial_forms(n, n - k, r + k - n - 1):
         row = {}
@@ -245,8 +233,7 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
             v = moments(f, q)
             if v:
                 row[j] = v
-        if row:
-            ech.add_fractions(row)
+        ech.add(row)
     return {
         "r": r, "k": k, "n": n,
         "space_dim": cols,

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Two engines.  The rank workhorse is an incremental sparse echelon form on
-integer rows (fraction-free: rows are rescaled to coprime integers and
-combined by cross-multiplication).  Pivoting is deterministic: the pivot of
-a row is its smallest column key, so repeated runs produce identical
-echelons.  Dense Fraction LU factors handle square solves.
+One engine: an incremental sparse echelon form on integer rows
+(fraction-free: rows are rescaled to coprime integers and combined by
+cross-multiplication).  Rows of ints or Fractions are scaled to integers
+once, on entry.  Pivoting is deterministic: the pivot of a row is its
+smallest column key, so repeated runs produce identical echelons.  Ranks,
+span membership and square solves (`LUFactor`) all run on it.
 
 Nonsingularity of a square matrix has a modular shortcut: a determinant
 that is nonzero mod p certifies a nonzero determinant over Q, while an
@@ -51,9 +52,10 @@ def int_row(row: dict) -> dict:
 class Echelon:
     """Incrementally built row echelon form over Q.
 
-    Rows are dicts from totally ordered column keys to nonzero integers.
-    Feeding a row reduces it against the stored pivots; a nonzero remainder
-    becomes a new pivot row.
+    Rows are dicts from totally ordered column keys to ints or Fractions;
+    `reduce` drops the zero entries and scales the rest to integers with
+    `int_row`.  Feeding a row reduces it against the stored pivots; a
+    nonzero remainder becomes a new pivot row.
     """
 
     def __init__(self):
@@ -64,7 +66,7 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        row = _normalize({c: v for c, v in row.items() if v})
+        row = _normalize(int_row({c: v for c, v in row.items() if v}))
         while row:
             col = min(row)
             piv = self.pivots.get(col)
@@ -82,26 +84,22 @@ class Echelon:
         return row
 
     def add(self, row: dict) -> bool:
-        """Feed an integer row; True when it enlarges the span."""
+        """Feed a row; True when it enlarges the span."""
         row = self.reduce(row)
         if not row:
             return False
         self.pivots[min(row)] = row
         return True
 
-    def add_fractions(self, row: dict) -> bool:
-        """Feed a row of ints or Fractions; True when it enlarges the span."""
-        return self.add(int_row(row))
-
     def contains(self, row: dict) -> bool:
-        return not self.reduce(int_row(row))
+        return not self.reduce(row)
 
 
 def rank(rows: list) -> int:
     """Rank of a dense matrix given as lists of ints or Fractions."""
     ech = Echelon()
     for r in rows:
-        ech.add_fractions({j: v for j, v in enumerate(r) if v})
+        ech.add(dict(enumerate(r)))
     return ech.rank
 
 
@@ -148,60 +146,35 @@ def is_nonsingular(rows: list) -> bool:
 
 
 class LUFactor:
-    """PLU factorization over Q for repeated exact solves."""
+    """A square matrix held as an `Echelon` for repeated exact solves.
+
+    Column j enters as the row (A_j, e_j): its entries under keys 0..n-1
+    and a tag 1 under key n+j.  The matrix is nonsingular exactly when
+    every pivot lands on a key below n.  A solve reduces (b, 1), with the 1
+    under key 2n.  The remainder is s(b, 1) - sum_j t_j (A_j, e_j) with
+    nothing left below n, so s b = sum_j t_j A_j and x_j = t_j / s.
+    """
 
     def __init__(self, rows: list):
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix is not square")
-        a = [[Fraction(v) for v in r] for r in rows]
-        perm = list(range(n))
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if a[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                raise SingularMatrixError(f"singular at column {col}")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                perm[col], perm[piv] = perm[piv], perm[col]
-            inv = 1 / a[col][col]
-            for i in range(col + 1, n):
-                if a[i][col]:
-                    f = a[i][col] * inv
-                    a[i][col] = f  # store the multiplier in the L part
-                    arow = a[col]
-                    irow = a[i]
-                    for j in range(col + 1, n):
-                        if arow[j]:
-                            irow[j] -= f * arow[j]
         self.n = n
-        self.lu = a
-        self.perm = perm
+        self.ech = Echelon()
+        for j in range(n):
+            column = {i: r[j] for i, r in enumerate(rows)}
+            column[n + j] = 1
+            self.ech.add(column)
+        if any(col >= n for col in self.ech.pivots):
+            raise SingularMatrixError("matrix is singular")
 
     def solve(self, b: list) -> list[Fraction]:
         n = self.n
         if len(b) != n:
             raise ValueError(f"right-hand side has length {len(b)}, need {n}")
-        y = [Fraction(b[self.perm[i]]) for i in range(n)]
-        for i in range(n):
-            row = self.lu[i]
-            s = y[i]
-            for j in range(i):
-                if row[j] and y[j]:
-                    s -= row[j] * y[j]
-            y[i] = s
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            row = self.lu[i]
-            s = y[i]
-            for j in range(i + 1, n):
-                if row[j] and x[j]:
-                    s -= row[j] * x[j]
-            x[i] = s / row[i]
-        return x
+        rest = self.ech.reduce({**dict(enumerate(b)), 2 * n: 1})
+        s = rest[2 * n]
+        return [Fraction(-rest.get(n + j, 0), s) for j in range(n)]
 
 
 def solve(rows: list, b: list) -> list[Fraction]:

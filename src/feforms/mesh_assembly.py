@@ -71,6 +71,8 @@ class Mesh:
             raise MeshError(f"unknown mesh kind {kind!r}")
         if not _is_int(n):
             raise MeshError(f"mesh dimension {n!r} is not an integer")
+        if n < 1:
+            raise MeshError(f"mesh dimension must be at least 1, got {n}")
         self.kind = kind
         self.n = n
         self.vertices = tuple(tuple(Fraction(c) for c in v) for v in vertices)
@@ -509,9 +511,7 @@ def assembled_dimension_by_rank(space: GlobalSpace) -> int:
                     row[(e0, j)] = base[j]
                 if other[j]:
                     row[(ei, j)] = row.get((ei, j), Fraction(0)) - other[j]
-            row = {key: v for key, v in row.items() if v}
-            if row:
-                ech.add_fractions(row)
+            ech.add(row)
     return nel * dimv - ech.rank
 
 

@@ -81,29 +81,6 @@ def make_spec(family: str, n: int, r: int, k: int) -> SpaceSpec:
     return SpaceSpec(family, n, r, k)
 
 
-class SpanChecker:
-    """Exact span membership tester over a growing set of forms."""
-
-    def __init__(self, forms=()):
-        self._ech = linalg.Echelon()
-        for f in forms:
-            self.add(f)
-
-    @property
-    def rank(self) -> int:
-        return self._ech.rank
-
-    def add(self, form: PolyForm) -> bool:
-        if form.is_zero:
-            return False
-        return self._ech.add_fractions(form.terms)
-
-    def contains(self, form: PolyForm) -> bool:
-        if form.is_zero:
-            return True
-        return self._ech.contains(form.terms)
-
-
 class SpaceBasis:
     """A rank-certified list of forms spanning one family member."""
 
@@ -116,21 +93,19 @@ class SpaceBasis:
     def dim(self) -> int:
         return len(self.forms)
 
-    def checker(self) -> SpanChecker:
+    def checker(self) -> linalg.Echelon:
         if self._checker is None:
-            chk = SpanChecker()
+            ech = linalg.Echelon()
             for f in self.forms:
-                if not chk.add(f):
+                if not ech.add(f.terms):
                     raise RuntimeError(f"basis for {self.spec} is not independent")
-            self._checker = chk
+            self._checker = ech
         return self._checker
 
     def contains(self, form: PolyForm) -> bool:
-        if form.is_zero:
-            return True
         if form.n != self.spec.n or form.k != self.spec.k:
             raise ValueError("form shape does not match the space")
-        return self.checker().contains(form)
+        return self.checker().contains(form.terms)
 
     def __repr__(self):
         return f"SpaceBasis({self.spec}, dim={self.dim})"
@@ -138,12 +113,15 @@ class SpaceBasis:
 
 def select_independent(forms) -> list[PolyForm]:
     """Greedy maximal independent subset, scanned in the given order."""
-    chk = SpanChecker()
-    return [f for f in forms if chk.add(f)]
+    ech = linalg.Echelon()
+    return [f for f in forms if ech.add(f.terms)]
 
 
 def span_rank(forms) -> int:
-    return SpanChecker(forms).rank
+    ech = linalg.Echelon()
+    for f in forms:
+        ech.add(f.terms)
+    return ech.rank
 
 
 def spans_equal(forms_a, forms_b) -> bool:

@@ -182,6 +182,17 @@ def test_project_mesh_with_bad_shape_or_ids_exits_2(monkeypatch, capsys, tmp_pat
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["simplicial", "cubical"])
+def test_project_on_a_0_dimensional_mesh_exits_2(monkeypatch, capsys, tmp_path, kind):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"kind": kind, "n": 0, "vertices": [[]],
+                                "elements": [[0]]}))
+    assert main_exit_code(monkeypatch, [
+        "project", "--family", "P", "--r", "1", "--k", "0",
+        "--mesh", str(path), "--form", "1/1"]) == 2
+    assert "dimension must be at least 1" in capsys.readouterr().err
+
+
 def test_homotopy_out_of_range_exits_2(monkeypatch):
     assert main_exit_code(monkeypatch, ["homotopy", "--n", "2", "--r", "1",
                                         "--k", "5"]) == 2

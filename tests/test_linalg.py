@@ -52,6 +52,34 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length(b):
         linalg.LUFactor(a).solve(b)
 
 
+def test_lu_solve_is_exact_or_refuses_a_singular_matrix():
+    """Random rational matrices, some made singular by replacing a later
+    column with a combination of earlier ones: a full-rank matrix gives
+    A x == b exactly, any other raises SingularMatrixError."""
+    rng = random.Random(23)
+    solved = refused = 0
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else 0
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            j = rng.randrange(1, n)
+            mix = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(j)]
+            for row in a:
+                row[j] = sum(c * row[i] for i, c in enumerate(mix))
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        if linalg.rank(a) == n:
+            x = linalg.LUFactor(a).solve(b)
+            assert all(type(v) is Fraction for v in x)
+            assert [sum(r[j] * x[j] for j in range(n)) for r in a] == b
+            solved += 1
+        else:
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.LUFactor(a)
+            refused += 1
+    assert solved > 100 and refused > 50
+
+
 def test_solve_singular():
     with pytest.raises(linalg.SingularMatrixError):
         linalg.solve([[1, 2], [2, 4]], [1, 1])
