@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--trials", type=int, default=0)
     _add_out_args(p, with_format=True)
 
     p = sub.add_parser("table1", help="reproduce the box-family dimension tables")
@@ -84,11 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path, text: str) -> None:
+    """Write a report; an unwritable path is bad input, not a crash."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(doc, args) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -98,11 +105,8 @@ def _certs_exit(certs, args) -> int:
         sys.stdout.write(f"{cert.claim}  {json.dumps(cert.params, sort_keys=True)}"
                          f"  {cert.verdict}\n")
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            if args.format == "tsv":
-                handle.write(summary_tsv(certs))
-            else:
-                handle.write(certificates_to_jsonl(certs))
+        _write(args.out, summary_tsv(certs) if args.format == "tsv"
+               else certificates_to_jsonl(certs))
     ok = all(c.passed for c in certs)
     sys.stdout.write("all checks passed\n" if ok else "FAILURES detected\n")
     return 0 if ok else 1
@@ -136,7 +140,7 @@ def run(argv=None) -> int:
         return _certs_exit(certs, args)
 
     if args.verb == "homotopy":
-        cert = complexes.check_homotopy(args.n, args.r, args.k, args.trials)
+        cert = complexes.check_homotopy(args.n, args.r, args.k)
         return _certs_exit([cert], args)
 
     if args.verb == "table1":
@@ -180,15 +184,14 @@ def run(argv=None) -> int:
 
     if args.verb == "verify-all":
         from feforms.verify import full_suite
-        certs = full_suite()
         outdir = args.out
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "certificates.jsonl"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(certificates_to_jsonl(certs))
-        with open(os.path.join(outdir, "summary.tsv"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(summary_tsv(certs))
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot write {outdir}: {exc.strerror}") from exc
+        certs = full_suite()
+        _write(os.path.join(outdir, "certificates.jsonl"), certificates_to_jsonl(certs))
+        _write(os.path.join(outdir, "summary.tsv"), summary_tsv(certs))
         npass = sum(1 for c in certs if c.passed)
         sys.stdout.write(f"{npass}/{len(certs)} certificates passed; "
                          f"reports in {outdir}\n")

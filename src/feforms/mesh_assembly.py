@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 
 from feforms import linalg, spaces
 from feforms.forms import (
@@ -37,7 +37,7 @@ from feforms.forms import (
 from feforms.dofs import reference_faces, weight_basis
 from feforms.polynomial import (
     DegenerateSimplexError,
-    barycentric,
+    barycentric_planes,
     rational_from_string,
     rational_to_string,
 )
@@ -80,7 +80,7 @@ class Mesh:
         if not all(_is_int(i) for e in self.elements for i in e):
             raise MeshError("element vertex ids must be integers")
         self._faces = None
-        self._element_charts = None
+        self._element_charts = {}
         self._box_bounds = None
         self._spaces: dict[tuple, GlobalSpace] = {}
         self._validate()
@@ -108,10 +108,9 @@ class Mesh:
             planes = []
             for e in self.elements:
                 try:
-                    lams = barycentric([self.vertices[i] for i in e]).lambdas
+                    planes.append(barycentric_planes([self.vertices[i] for i in e]))
                 except DegenerateSimplexError:
                     raise DegenerateElementError(f"element {e} is degenerate") from None
-                planes.append([_affine_parts(lam) for lam in lams])
             self._check_simplicial_conformity(planes)
         else:
             self._box_bounds = tuple(self._validate_box(e) for e in self.elements)
@@ -183,8 +182,6 @@ class Mesh:
 
     def element_chart(self, e: int) -> AffineEmbedding:
         """Affine chart from the reference element onto element e."""
-        if self._element_charts is None:
-            self._element_charts = {}
         got = self._element_charts.get(e)
         if got is None:
             elem = self.elements[e]
@@ -266,22 +263,6 @@ def _coordinate(c) -> Fraction:
 
 
 # -- exact conformity helpers ------------------------------------------------
-
-
-def _affine_parts(poly):
-    """(gradient, constant) of an affine polynomial."""
-    n = poly.n
-    grad = [Fraction(0)] * n
-    const = Fraction(0)
-    for alpha, c in poly.terms.items():
-        deg = sum(alpha)
-        if deg == 0:
-            const = c
-        elif deg == 1:
-            grad[alpha.index(1)] = c
-        else:
-            raise ValueError("polynomial is not affine")
-    return grad, const
 
 
 def _meeting_pairs(boxes) -> list[tuple[int, int]]:
@@ -374,9 +355,6 @@ class GlobalSpace:
             raise MeshError(f"family {family} lives on {self.spec.element} "
                             f"elements; the mesh is {mesh.kind}")
         self.mesh = mesh
-        self.family = family
-        self.r = r
-        self.k = k
         self.basis = spaces.basis_for(self.spec)
         self.dofs: list[GlobalDof] = []
         element_dofs: list[list] = [[] for _ in mesh.elements]
@@ -444,7 +422,7 @@ class GlobalSpace:
     def _solve_piece(self, ei: int, rhs) -> PolyForm:
         """The basis combination on element ei with local DOF values rhs."""
         coeffs = self._element_matrix(ei).solve(rhs)
-        piece = PolyForm.zero(self.mesh.n, self.k)
+        piece = PolyForm.zero(self.mesh.n, self.spec.k)
         for c, b in zip(coeffs, self.basis.forms):
             if c:
                 piece = piece + c * b
@@ -589,38 +567,24 @@ def two_tetrahedra() -> Mesh:
                 [(0, 1, 2, 3), (1, 2, 3, 4)])
 
 
-def two_boxes_2d() -> Mesh:
-    return Mesh("cubical", 2,
-                [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
-                [(0, 1, 3, 4), (1, 2, 4, 5)])
-
-
-def grid_boxes_2x2() -> Mesh:
-    verts = [(x, y) for y in range(3) for x in range(3)]
-    elems = []
-    for y in range(2):
-        for x in range(2):
-            i = y * 3 + x
-            elems.append((i, i + 1, i + 3, i + 4))
-    return Mesh("cubical", 2, verts, elems)
-
-
-def two_cubes_3d() -> Mesh:
-    verts = [(x, y, z) for z in (0, 1) for y in (0, 1) for x in (0, 1, 2)]
-    def vid(x, y, z):
-        return z * 6 + y * 3 + x
-    elems = []
-    for x0 in (0, 1):
-        elems.append(tuple(vid(x0 + dx, dy, dz)
-                           for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)))
-    return Mesh("cubical", 3, verts, elems)
+def box_grid(shape) -> Mesh:
+    """The grid of unit boxes with shape[j] cells along axis j+1.  Vertices
+    and cells, each named by its lowest corner, are numbered with axis 1
+    fastest; the corners of a cell are in binary order."""
+    n = len(shape)
+    points = [p[::-1] for p in product(*(range(m + 1) for m in reversed(shape)))]
+    ids = {p: i for i, p in enumerate(points)}
+    elements = [tuple(ids[tuple(x + ((pos >> ax) & 1) for ax, x in enumerate(cell))]
+                      for pos in range(2 ** n))
+                for cell in points if all(x < m for x, m in zip(cell, shape))]
+    return Mesh("cubical", n, points, elements)
 
 
 SAMPLE_MESHES = {
     "two_triangle_square": two_triangle_square,
     "crisscross_square": crisscross_square,
     "two_tetrahedra": two_tetrahedra,
-    "two_boxes_2d": two_boxes_2d,
-    "grid_boxes_2x2": grid_boxes_2x2,
-    "two_cubes_3d": two_cubes_3d,
+    "two_boxes_2d": lambda: box_grid((2, 1)),
+    "grid_boxes_2x2": lambda: box_grid((2, 2)),
+    "two_cubes_3d": lambda: box_grid((2, 1, 1)),
 }

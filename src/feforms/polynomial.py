@@ -273,23 +273,30 @@ class BarycentricSystem:
     lambdas: tuple
 
 
-def barycentric(vertices) -> BarycentricSystem:
-    """Barycentric coordinate polynomials for n+1 points in Q^n."""
-    verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
-    if not verts:
+def barycentric_planes(vertices) -> list[tuple]:
+    """(gradient, constant) of each barycentric coordinate of n+1 points in
+    Q^n, so that lambda_i(x) = gradient_i . x + constant_i, with `exact`
+    entries.  Raises DegenerateSimplexError on affinely dependent points."""
+    if not vertices:
         raise ValueError("no vertices given")
-    n = len(verts[0])
-    if len(verts) != n + 1 or any(len(v) != n for v in verts):
+    n = len(vertices[0])
+    if len(vertices) != n + 1 or any(len(v) != n for v in vertices):
         raise ValueError(f"need {n + 1} points in Q^{n}")
-    rows = [[Fraction(1), *v] for v in verts]
     try:
-        lu = linalg.LUFactor(rows)
+        lu = linalg.LUFactor([[1, *v] for v in vertices])
     except linalg.SingularMatrixError as exc:
         raise DegenerateSimplexError(
             "vertices are affinely dependent") from exc
-    lams = []
+    planes = []
     for i in range(n + 1):
-        e = [Fraction(int(j == i)) for j in range(n + 1)]
-        sol = lu.solve(e)
-        lams.append(affine_polynomial(n, sol[1:], sol[0]))
-    return BarycentricSystem(verts, tuple(lams))
+        sol = [exact(c) for c in lu.solve([int(j == i) for j in range(n + 1)])]
+        planes.append((sol[1:], sol[0]))
+    return planes
+
+
+def barycentric(vertices) -> BarycentricSystem:
+    """Barycentric coordinate polynomials for n+1 points in Q^n."""
+    verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    planes = barycentric_planes(verts)
+    return BarycentricSystem(verts, tuple(affine_polynomial(len(grad), grad, const)
+                                          for grad, const in planes))

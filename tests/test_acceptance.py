@@ -123,8 +123,8 @@ def test_criterion_7_commuting_diagram():
     cases = (
         (ma.two_triangle_square(), "P", 3),
         (ma.two_triangle_square(), "Pminus", 2),
-        (ma.two_boxes_2d(), "Qminus", 2),
-        (ma.two_boxes_2d(), "S", 3),
+        (ma.SAMPLE_MESHES["two_boxes_2d"](), "Qminus", 2),
+        (ma.SAMPLE_MESHES["two_boxes_2d"](), "S", 3),
     )
     for mesh, family, r in cases:
         degrees = chain_degrees(family, r, mesh.n)
@@ -144,7 +144,8 @@ def test_criterion_8_assembly_identity():
     ok = True
     simplicial = (ma.two_triangle_square(), ma.crisscross_square(),
                   ma.two_tetrahedra())
-    cubical = (ma.two_boxes_2d(), ma.grid_boxes_2x2(), ma.two_cubes_3d())
+    cubical = tuple(ma.SAMPLE_MESHES[name]()
+                    for name in ("two_boxes_2d", "grid_boxes_2x2", "two_cubes_3d"))
     for mesh in simplicial:
         # the Whitney case: one DOF per edge
         space = ma.assemble(mesh, "Pminus", 1, 1)

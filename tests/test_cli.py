@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from feforms import verify
 from feforms.cli import main, run
 
 SQUARE = str(Path(__file__).parent.parent / "meshes" / "two_triangle_square.json")
@@ -199,13 +200,32 @@ def test_homotopy_out_of_range_exits_2(monkeypatch):
 
 
 def test_format_only_where_honoured(capsys):
-    for verb in (["describe", "--family", "P", "--n", "2", "--r", "1", "--k", "0"],
-                 ["verify-all"]):
+    for argv in (["describe", "--family", "P", "--n", "2", "--r", "1", "--k", "0",
+                  "--format", "tsv"],
+                 ["verify-all", "--format", "tsv"],
+                 ["homotopy", "--n", "2", "--r", "1", "--k", "1", "--trials", "1"]):
         with pytest.raises(SystemExit) as err:
-            run(verb + ["--format", "tsv"])
+            run(argv)
         assert err.value.code == 2
     assert run(["homotopy", "--n", "2", "--r", "1", "--k", "1",
                 "--format", "tsv"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--out", "{file}"],
+    ["describe", "--family", "P", "--n", "2", "--r", "1", "--k", "0",
+     "--out", "{missing}/x.json"],
+    ["homotopy", "--n", "2", "--r", "1", "--k", "1", "--out", "{missing}/h.jsonl"],
+], ids=["verify-all-onto-a-file", "describe-into-a-missing-dir",
+        "homotopy-into-a-missing-dir"])
+def test_unwritable_out_exits_2(monkeypatch, capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    # an unwritable directory is refused before the suite runs
+    monkeypatch.setattr(verify, "full_suite", lambda: pytest.fail("the suite ran"))
+    argv = [a.format(file=tmp_path / "file", missing=tmp_path / "missing")
+            for a in argv]
+    assert main_exit_code(monkeypatch, argv) == 2
+    assert "error: cannot write" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -98,12 +98,9 @@ def test_homotopy_full_range_small():
     for n in (1, 2, 3):
         for r in (0, 1, 2, 3):
             for k in range(n + 1):
-                assert check_homotopy(n, r, k).passed
-
-
-def test_homotopy_with_trials():
-    cert = check_homotopy(3, 2, 1, trials=5)
-    assert cert.passed
+                cert = check_homotopy(n, r, k)
+                assert cert.passed
+                assert cert.params == {"n": n, "r": r, "k": k}
 
 
 @pytest.mark.parametrize("n, r, k", [(2, 1, 5), (2, 1, -1), (2, -1, 1)])

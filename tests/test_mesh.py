@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from feforms import mesh_assembly as ma
 from feforms.forms import PolyForm, exterior_derivative, form_to_string
-from feforms.polynomial import Polynomial, barycentric
+from feforms.polynomial import Polynomial, barycentric_planes
 from feforms.spaces import monomial_forms
 from feforms.dofs import reference_faces
 from oracles import conformity_verdict, integer_simplices, mesh_faces, pair_conforms
@@ -106,9 +106,9 @@ def test_assemble_face_sum_and_rank_agree():
         (ma.two_triangle_square(), "Pminus", 2, 1),
         (ma.crisscross_square(), "P", 2, 0),
         (ma.two_tetrahedra(), "Pminus", 1, 2),
-        (ma.two_boxes_2d(), "Qminus", 2, 1),
-        (ma.grid_boxes_2x2(), "S", 2, 0),
-        (ma.two_cubes_3d(), "S", 1, 1),
+        (ma.SAMPLE_MESHES["two_boxes_2d"](), "Qminus", 2, 1),
+        (ma.SAMPLE_MESHES["grid_boxes_2x2"](), "S", 2, 0),
+        (ma.SAMPLE_MESHES["two_cubes_3d"](), "S", 1, 1),
     ]
     for mesh, family, r, k in cases:
         space = ma.assemble(mesh, family, r, k)
@@ -134,7 +134,7 @@ def test_family_mesh_kind_mismatch():
     with pytest.raises(ma.MeshError):
         ma.assemble(ma.two_triangle_square(), "Qminus", 1, 0)
     with pytest.raises(ma.MeshError):
-        ma.assemble(ma.two_boxes_2d(), "P", 1, 0)
+        ma.assemble(ma.box_grid((2, 1)), "P", 1, 0)
 
 
 def test_projection_identity_on_members():
@@ -205,7 +205,7 @@ def test_commuting_simple():
 
 
 def test_commuting_member_inputs():
-    mesh = ma.two_boxes_2d()
+    mesh = ma.box_grid((2, 1))
     space = ma.assemble(mesh, "Qminus", 1, 0)
     member = space.global_basis_function(0)
     cert = ma.check_commuting(mesh, "Qminus", 1, member)
@@ -228,7 +228,7 @@ def test_commuting_all_monomials_small():
 
 
 def test_element_charts():
-    mesh = ma.two_boxes_2d()
+    mesh = ma.box_grid((2, 1))
     chart = mesh.element_chart(1)
     assert chart.apply((0, 0)) == (1, 0)
     assert chart.apply((1, 1)) == (2, 1)
@@ -351,9 +351,7 @@ def test_moved_vertex_breaks_conformity(n, offset):
 def assert_facet_certificate_sound(vertices, elements):
     int_planes = integer_simplices(vertices, elements)
     assume(int_planes is not None)
-    planes = [[ma._affine_parts(lam)
-               for lam in barycentric([vertices[i] for i in e]).lambdas]
-              for e in elements]
+    planes = [barycentric_planes([vertices[i] for i in e]) for e in elements]
     for a, b in combinations(range(len(elements)), 2):
         ea, eb = elements[a], elements[b]
         shared = set(ea) & set(eb)
@@ -457,18 +455,15 @@ def test_element_factors_are_shared_by_local_pattern():
 
 
 def box_grid(n, m, rng):
-    """Vertices and elements of the m^n grid of unit boxes, corners in
-    binary order; `rng` permutes the vertex ids and the element order."""
-    coords = list(product(range(m + 1), repeat=n))
-    new_id = list(range(len(coords)))
+    """Vertices and elements of `ma.box_grid` on the m^n grid; `rng`
+    permutes the vertex ids and the element order."""
+    grid = ma.box_grid((m,) * n)
+    new_id = list(range(len(grid.vertices)))
     rng.shuffle(new_id)
-    vertices = [None] * len(coords)
-    for old, c in enumerate(coords):
+    vertices = [None] * len(new_id)
+    for old, c in enumerate(grid.vertices):
         vertices[new_id[old]] = c
-    index = {c: new_id[old] for old, c in enumerate(coords)}
-    elements = [tuple(index[tuple(x + ((pos >> ax) & 1) for ax, x in enumerate(cell))]
-                      for pos in range(2 ** n))
-                for cell in product(range(m), repeat=n)]
+    elements = [tuple(new_id[i] for i in e) for e in grid.elements]
     rng.shuffle(elements)
     return vertices, elements
 
@@ -486,6 +481,7 @@ FACE_MESHES = dict(ma.SAMPLE_MESHES)
 FACE_MESHES.update({
     f"{kind}-{n}d-m{m}": (lambda kind=kind, n=n, m=m: permuted_grid(kind, n, m, 10 * n + m))
     for kind in ("simplicial", "cubical") for n, m in ((2, 1), (2, 2), (2, 3), (3, 2))})
+FACE_MESHES["box_grid-2x2x2"] = lambda: ma.box_grid((2, 2, 2))
 
 
 @pytest.mark.parametrize("name", sorted(FACE_MESHES))

@@ -8,7 +8,9 @@ from feforms.polynomial import (
     DegenerateSimplexError,
     NEG_INF,
     Polynomial,
+    affine_polynomial,
     barycentric,
+    barycentric_planes,
     rational_from_string,
     rational_to_string,
     sdeg_exponents,
@@ -192,6 +194,11 @@ def test_barycentric_properties_random():
             for i, lam in enumerate(sys.lambdas):
                 for j, v in enumerate(verts):
                     assert evaluate(lam, v) == (1 if i == j else 0)
+            planes = barycentric_planes(verts)
+            assert [affine_polynomial(n, grad, const)
+                    for grad, const in planes] == list(sys.lambdas)
+            assert all(type(c) is int or c.denominator > 1
+                       for grad, const in planes for c in (*grad, const))
 
 
 def test_barycentric_degenerate():
