@@ -194,19 +194,13 @@ def unisolvence_check(spec: SpaceSpec) -> dict:
     dofset = dofs_for(spec)
     matrix = dof_matrix(basis.forms, dofset)
     count_ok = len(dofset.functionals) == basis.dim
-    if count_ok and basis.dim > 0:
-        invertible = linalg.is_nonsingular(matrix)
-    elif count_ok:
-        invertible = True
-    else:
-        invertible = False
     return {
         "spec": spec.as_dict(),
         "dim": basis.dim,
         "dof_count": len(dofset.functionals),
         "per_face": per_face_counts(spec),
         "count_ok": count_ok,
-        "determinant_nonzero": invertible,
+        "determinant_nonzero": count_ok and linalg.is_nonsingular(matrix),
     }
 
 

@@ -627,6 +627,8 @@ def form_from_string(text: str, n: int, k: int) -> PolyForm:
     total = PolyForm.zero(n, k)
     for term in text.split(" + "):
         toks = term.split()
+        if not toks:
+            raise ValueError(f"empty term in {text!r}")
         coeff = rational_from_string(toks[0])
         alpha = [0] * n
         seen = set()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, groupby, product
 
 from feforms import linalg, spaces
@@ -29,6 +30,7 @@ from feforms.forms import (
     AffineEmbedding,
     FaceMoments,
     PolyForm,
+    _sum,
     exterior_derivative,
     form_to_string,
     pullback,
@@ -79,9 +81,6 @@ class Mesh:
         self.elements = tuple(tuple(e) for e in elements)
         if not all(_is_int(i) for e in self.elements for i in e):
             raise MeshError("element vertex ids must be integers")
-        self._faces = None
-        self._element_charts = {}
-        self._box_bounds = None
         self._spaces: dict[tuple, GlobalSpace] = {}
         self._validate()
 
@@ -113,8 +112,7 @@ class Mesh:
                     raise DegenerateElementError(f"element {e} is degenerate") from None
             self._check_simplicial_conformity(planes)
         else:
-            self._box_bounds = tuple(self._validate_box(e) for e in self.elements)
-            self._check_cubical_conformity()
+            self._check_cubical_conformity([self._validate_box(e) for e in self.elements])
 
     def _validate_box(self, elem):
         n = self.n
@@ -158,9 +156,9 @@ class Mesh:
                     raise NonconformingMeshError(
                         f"elements {a} and {b} meet outside a common face")
 
-    def _check_cubical_conformity(self):
-        for a, b in _meeting_pairs(self._box_bounds):
-            ba, bb = self._box_bounds[a], self._box_bounds[b]
+    def _check_cubical_conformity(self, bounds):
+        for a, b in _meeting_pairs(bounds):
+            ba, bb = bounds[a], bounds[b]
             inter = [(max(l1, l2), min(h1, h2))
                      for (l1, h1), (l2, h2) in zip(ba, bb)]
             degenerate_axes = 0
@@ -179,37 +177,41 @@ class Mesh:
                     f"elements {a} and {b} have overlapping interiors")
 
     # -- geometry --------------------------------------------------------
+    # Charts and faces are built on first use, by `assemble`: built in the
+    # constructor, they cost the mesh benchmarks up to 0.3 MB of peak memory.
+
+    @cached_property
+    def charts(self) -> tuple[AffineEmbedding, ...]:
+        """Affine charts from the reference element onto each element."""
+        corners = [[self.vertices[i] for i in elem] for elem in self.elements]
+        if self.kind == "simplicial":
+            return tuple(map(AffineEmbedding.from_simplex, corners))
+        return tuple(AffineEmbedding.from_box(zip(c[0], c[-1])) for c in corners)
 
     def element_chart(self, e: int) -> AffineEmbedding:
         """Affine chart from the reference element onto element e."""
-        got = self._element_charts.get(e)
-        if got is None:
-            elem = self.elements[e]
-            if self.kind == "simplicial":
-                got = AffineEmbedding.from_simplex([self.vertices[i] for i in elem])
-            else:
-                got = AffineEmbedding.from_box(self._box_bounds[e])
-            self._element_charts[e] = got
-        return got
+        return self.charts[e]
 
     # -- face enumeration --------------------------------------------------
+
+    @cached_property
+    def _face_table(self) -> tuple[MeshFace, ...]:
+        table: dict[tuple, tuple] = {}
+        for ei, elem in enumerate(self.elements):
+            for ref in reference_faces(self.element_kind, self.n):
+                order = tuple(sorted(ref.corners, key=elem.__getitem__))
+                psi = (simplex_face_chart(self.n, order)
+                       if self.kind == "simplicial" else ref.embedding)
+                ids = tuple(elem[pos] for pos in order)
+                table.setdefault(ids, (ref.dim, []))[1].append((ei, psi))
+        faces = sorted(table.items(), key=lambda item: (len(item[0]), item[0]))
+        return tuple(MeshFace(dim, ids, tuple(adjacent), index)
+                     for index, (ids, (dim, adjacent)) in enumerate(faces))
 
     def faces(self) -> tuple[MeshFace, ...]:
         """Each element's reference faces, keyed by sorted global ids.  A box
         face keeps its reference chart, a simplex face follows the ids."""
-        if self._faces is None:
-            table: dict[tuple, tuple] = {}
-            for ei, elem in enumerate(self.elements):
-                for ref in reference_faces(self.element_kind, self.n):
-                    order = tuple(sorted(ref.corners, key=elem.__getitem__))
-                    psi = (simplex_face_chart(self.n, order)
-                           if self.kind == "simplicial" else ref.embedding)
-                    ids = tuple(elem[pos] for pos in order)
-                    table.setdefault(ids, (ref.dim, []))[1].append((ei, psi))
-            faces = sorted(table.items(), key=lambda item: (len(item[0]), item[0]))
-            self._faces = tuple(MeshFace(dim, ids, tuple(adjacent), index)
-                                for index, (ids, (dim, adjacent)) in enumerate(faces))
-        return self._faces
+        return self._face_table
 
     # -- serialization ------------------------------------------------------
 
@@ -347,18 +349,20 @@ class GlobalDof:
 
 
 class GlobalSpace:
-    """A finite element space assembled from per-face degrees of freedom."""
+    """A finite element space assembled from per-face degrees of freedom.  It
+    keeps the mesh's faces and charts, not the mesh, whose cache holds it."""
 
     def __init__(self, mesh: Mesh, family: str, r: int, k: int):
         self.spec = spaces.make_spec(family, mesh.n, r, k)
         if self.spec.element != mesh.element_kind:
             raise MeshError(f"family {family} lives on {self.spec.element} "
                             f"elements; the mesh is {mesh.kind}")
-        self.mesh = mesh
+        self.faces = mesh.faces()
+        self.charts = mesh.charts
         self.basis = spaces.basis_for(self.spec)
         self.dofs: list[GlobalDof] = []
         element_dofs: list[list] = [[] for _ in mesh.elements]
-        for face in mesh.faces():
+        for face in self.faces:
             for q in weight_basis(family, r, k, face.dim):
                 dof = GlobalDof(len(self.dofs), face, q)
                 self.dofs.append(dof)
@@ -419,34 +423,28 @@ class GlobalSpace:
             self._lu[key] = got
         return got
 
-    def _solve_piece(self, ei: int, rhs) -> PolyForm:
-        """The basis combination on element ei with local DOF values rhs."""
-        coeffs = self._element_matrix(ei).solve(rhs)
-        piece = PolyForm.zero(self.mesh.n, self.spec.k)
-        for c, b in zip(coeffs, self.basis.forms):
-            if c:
-                piece = piece + c * b
-        return piece
+    def from_dof_values(self, values) -> dict:
+        """The member with these global DOF values, inverting `dof_values`; an
+        element whose local values all vanish gets zero without a solve."""
+        n, k = self.spec.n, self.spec.k
+        pieces = {}
+        for ei, local in enumerate(self.element_dofs):
+            rhs = [values[dof.index] for dof, _ in local]
+            coeffs = self._element_matrix(ei).solve(rhs) if any(rhs) else ()
+            pieces[ei] = _sum(n, k, ((key, c * v)
+                                     for c, b in zip(coeffs, self.basis.forms) if c
+                                     for key, v in b.terms.items()))
+        return pieces
 
     def as_pieces(self, u) -> dict:
         """Normalize input to reference-coordinate pieces per element."""
         if isinstance(u, PolyForm):
-            return {ei: pullback(u, self.mesh.element_chart(ei))
-                    for ei in range(len(self.mesh.elements))}
+            return {ei: pullback(u, chart) for ei, chart in enumerate(self.charts)}
         return dict(u)
 
     def project(self, u) -> dict:
         """DOF interpolation onto the space; exact on per-element polynomials."""
-        pieces = self.as_pieces(u)
-        values = self.dof_values(pieces)
-        return {ei: self._solve_piece(ei, [values[dof.index] for dof, _ in local])
-                for ei, local in enumerate(self.element_dofs)}
-
-    def global_basis_function(self, index: int) -> dict:
-        """The piecewise form with DOF `index` equal to one, others zero."""
-        return {ei: self._solve_piece(ei, [Fraction(int(dof.index == index))
-                                           for dof, _ in local])
-                for ei, local in enumerate(self.element_dofs)}
+        return self.from_dof_values(self.dof_values(self.as_pieces(u)))
 
 
 def assemble(mesh: Mesh, family: str, r: int, k: int) -> GlobalSpace:
@@ -472,7 +470,7 @@ def assembled_dimension_by_rank(space: GlobalSpace) -> int:
     recomputes the assembled dimension without assuming the face-sum
     formula.
     """
-    nel = len(space.mesh.elements)
+    nel = len(space.element_dofs)
     dimv = space.basis.dim
     ech = linalg.Echelon()
     for dof in space.dofs:
@@ -495,7 +493,7 @@ def assembled_dimension_by_rank(space: GlobalSpace) -> int:
 
 def continuity_check(space: GlobalSpace, pieces: dict) -> bool:
     """Traces agree, as forms, on every shared face."""
-    for face in space.mesh.faces():
+    for face in space.faces:
         if len(face.adjacent) < 2:
             continue
         e0, psi0 = face.adjacent[0]

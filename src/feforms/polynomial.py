@@ -233,19 +233,6 @@ def substitute(p: Polynomial, images: list[Polynomial], m: int,
     """
     if power_cache is None:
         power_cache = {}
-
-    def image(alpha) -> Polynomial:
-        got = power_cache.get(alpha)
-        if got is None:
-            i = max((i for i, e in enumerate(alpha) if e), default=None)
-            if i is None:
-                got = Polynomial.constant(m, 1)
-            else:
-                lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                got = image(lower) * images[i]
-            power_cache[alpha] = got
-        return got
-
     # monomials in a variable mapped to zero vanish; skipping them keeps
     # their (zero) images out of the shared cache
     dead = [i for i, im in enumerate(images) if im.is_zero]
@@ -253,7 +240,20 @@ def substitute(p: Polynomial, images: list[Polynomial], m: int,
     for alpha, c in p.terms.items():
         if dead and any(alpha[i] for i in dead):
             continue
-        for b, v in image(alpha).terms.items():
+        # lower the last nonzero exponent to a cached power, then multiply up
+        steps = []
+        beta = alpha
+        while beta not in power_cache:
+            i = max((i for i, e in enumerate(beta) if e), default=None)
+            if i is None:
+                power_cache[beta] = Polynomial.constant(m, 1)
+                break
+            steps.append((beta, i))
+            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+        image = power_cache[beta]
+        for beta, i in reversed(steps):
+            image = power_cache[beta] = image * images[i]
+        for b, v in image.terms.items():
             s = out.get(b, 0) + c * v
             if s:
                 out[b] = exact(s)

@@ -126,7 +126,8 @@ def test_project_spec_that_is_not_unisolvent_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("form, k, message", [
-    ("1/1 x1 x1", 0, "repeats"), ("1/1 x1 dx1 dx2", 1, "more than one dx")])
+    ("1/1 x1 x1", 0, "repeats"), ("1/1 x1 dx1 dx2", 1, "more than one dx"),
+    ("1/1 x1 +  + 1/1 x2", 0, "empty term")])
 def test_project_form_with_repeated_tokens_exits_2(monkeypatch, capsys,
                                                    form, k, message):
     assert main_exit_code(monkeypatch, [

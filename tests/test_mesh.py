@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -8,12 +9,18 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from feforms import complexes, dofs, linalg, verify
 from feforms import mesh_assembly as ma
 from feforms.forms import PolyForm, exterior_derivative, form_to_string
 from feforms.polynomial import Polynomial, barycentric_planes
-from feforms.spaces import monomial_forms
+from feforms.spaces import make_spec, monomial_forms
 from feforms.dofs import reference_faces
 from oracles import conformity_verdict, integer_simplices, mesh_faces, pair_conforms
+
+
+def unit_member(space, index):
+    """The member of the space whose DOF `index` is one and the rest zero."""
+    return space.from_dof_values([int(i == index) for i in range(space.dimension)])
 
 
 def test_read_mesh_roundtrip(tmp_path):
@@ -142,7 +149,7 @@ def test_projection_identity_on_members():
     for family, r, k in (("P", 2, 0), ("Pminus", 1, 1), ("Pminus", 2, 1)):
         space = ma.assemble(mesh, family, r, k)
         for index in range(space.dimension):
-            member = space.global_basis_function(index)
+            member = unit_member(space, index)
             again = space.project(member)
             assert ma.pieces_equal(member, again)
 
@@ -178,7 +185,7 @@ def test_global_basis_functions_are_continuous():
     for family, r, k in (("P", 2, 0), ("Pminus", 1, 1)):
         space = ma.assemble(mesh, family, r, k)
         for index in range(space.dimension):
-            assert ma.continuity_check(space, space.global_basis_function(index))
+            assert ma.continuity_check(space, unit_member(space, index))
 
 
 def test_continuity_negative_control():
@@ -192,7 +199,7 @@ def test_continuity_negative_control():
 def test_whitney_tangential_trace_agreement():
     mesh = ma.two_triangle_square()
     space = ma.assemble(mesh, "Pminus", 1, 1)
-    member = space.global_basis_function(2)
+    member = unit_member(space, 2)
     assert ma.continuity_check(space, member)
 
 
@@ -207,7 +214,7 @@ def test_commuting_simple():
 def test_commuting_member_inputs():
     mesh = ma.box_grid((2, 1))
     space = ma.assemble(mesh, "Qminus", 1, 0)
-    member = space.global_basis_function(0)
+    member = unit_member(space, 0)
     cert = ma.check_commuting(mesh, "Qminus", 1, member)
     assert cert.passed
 
@@ -252,7 +259,9 @@ def test_assemble_is_shared_per_mesh_and_spec(monkeypatch):
     assert ma.assemble(mesh, "Pminus", 1, 0) is space
     assert ma.assemble(mesh, "Pminus", 1, 1) is not space
     assert ma.assemble(ma.two_triangle_square(), "Pminus", 1, 0) is not space
-    u = PolyForm.from_polynomial(Polynomial.variable(2, 1) * Polynomial.variable(2, 2))
+    # x1 x2 alone vanishes at every vertex of triangle 0, which then needs no factor
+    x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    u = PolyForm.from_polynomial(x1 * x2 + x1)
     space.project(u)
     factored = []
     lu = ma.linalg.LUFactor
@@ -449,6 +458,111 @@ def test_element_factors_are_shared_by_local_pattern():
                       for dof, psi in local)
                 for local in space.element_dofs}
     assert len(space._lu) == len(patterns) < len(elements)
+
+
+# -- the two maps, the assembled complex, freeing without the cyclic GC ----------
+
+
+@pytest.mark.parametrize("name, family, r, k", [
+    ("crisscross_square", "P", 3, 0), ("two_triangle_square", "Pminus", 2, 1),
+    ("two_tetrahedra", "Pminus", 1, 2), ("grid_boxes_2x2", "Qminus", 2, 1),
+    ("two_cubes_3d", "S", 2, 1)])
+def test_from_dof_values_inverts_dof_values(name, family, r, k):
+    mesh = ma.SAMPLE_MESHES[name]()
+    space = ma.assemble(mesh, family, r, k)
+    rng = random.Random(r + 10 * k)
+    values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in space.dofs]
+    member = space.from_dof_values(values)
+    assert space.dof_values(member) == values
+    assert ma.continuity_check(space, member)
+    for u in monomial_forms(mesh.n, k, r + 1):
+        values = space.dof_values(space.as_pieces(u))
+        assert ma.pieces_equal(space.from_dof_values(values), space.project(u))
+
+
+def test_a_unit_vector_solves_only_next_to_its_face(monkeypatch):
+    vertices, elements = kuhn_grid(2, 3, random.Random(3))
+    space = ma.assemble(ma.Mesh("simplicial", 2, vertices, elements), "Pminus", 2, 1)
+    solve = ma.linalg.LUFactor.solve
+    for index in (0, len(space.dofs) // 2, len(space.dofs) - 1):
+        solved = []
+        monkeypatch.setattr(ma.linalg.LUFactor, "solve",
+                            lambda self, b: solved.append(b) or solve(self, b))
+        member = unit_member(space, index)
+        adjacent = {ei for ei, _ in space.dofs[index].face.adjacent}
+        assert len(solved) == len(adjacent)
+        assert {ei for ei, piece in member.items() if not piece.is_zero} == adjacent
+
+
+def global_d(space, target):
+    """The matrix of d from `space` to `target`, composed from the two maps:
+    column i holds the DOF values of d of the basis function dual to DOF i."""
+    columns = []
+    for index in range(space.dimension):
+        d_phi = ma.pieces_d(unit_member(space, index))
+        values = target.dof_values(d_phi)
+        assert ma.continuity_check(target, d_phi)
+        assert ma.pieces_equal(target.from_dof_values(values), d_phi)
+        columns.append(values)
+    return [list(row) for row in zip(*columns)]
+
+
+def betti_numbers(mesh, family, r):
+    chain = [ma.assemble(mesh, family, deg, k)
+             for k, deg in enumerate(complexes.chain_degrees(family, r, mesh.n))]
+    ds = [global_d(a, b) for a, b in zip(chain, chain[1:])]
+    for first, second in zip(ds, ds[1:]):  # D_(k+1) D_k = 0
+        assert all(not sum(x * y for x, y in zip(row, col))
+                   for row in second for col in zip(*first))
+    ranks = [0] + [linalg.rank(d) for d in ds] + [0]
+    return [space.dimension - ranks[k] - ranks[k + 1] for k, space in enumerate(chain)]
+
+
+# Pminus and Qminus at r <= 2, P and S at r = n + 1, where their chains end
+# at degree 1; the 3D cases at r >= 2 take seconds each and are left out
+COMPLEX_CASES = [
+    (name, family, r)
+    for names, chains in (
+        (("two_triangle_square", "crisscross_square"),
+         (("Pminus", 1), ("Pminus", 2), ("P", 3))),
+        (("two_boxes_2d", "grid_boxes_2x2"), (("Qminus", 1), ("Qminus", 2), ("S", 3))),
+        (("two_tetrahedra",), (("Pminus", 1),)),
+        (("two_cubes_3d",), (("Qminus", 1),)))
+    for name in names for family, r in chains]
+
+
+@pytest.mark.parametrize("name, family, r", COMPLEX_CASES)
+def test_assembled_complex_is_acyclic_on_a_contractible_mesh(name, family, r):
+    mesh = ma.SAMPLE_MESHES[name]()
+    assert betti_numbers(mesh, family, r) == [1] + [0] * mesh.n
+
+
+def test_assembled_complex_sees_the_hole_of_an_annulus():
+    grid = ma.box_grid((3, 3))
+    ring = ma.Mesh("cubical", 2, grid.vertices, grid.elements[:4] + grid.elements[5:])
+    assert betti_numbers(ring, "Qminus", 1) == [1, 1, 0]
+
+
+def test_library_calls_leave_no_reference_cycles():
+    """Meshes, spaces, element factors and power caches are freed by
+    reference counting alone, so memory does not wait for the cyclic GC."""
+    path = Path(__file__).parent.parent / "meshes" / "crisscross_square.json"
+    u = PolyForm.from_polynomial(Polynomial.monomial(2, (3, 1), 2)
+                                 + Polynomial.monomial(2, (1, 0)))
+    gc.collect()
+    gc.disable()
+    try:
+        dofs.unisolvence_check(make_spec("P", 3, 3, 1))
+        verify._commuting_certificates()
+        mesh = ma.read_mesh(str(path))
+        space = ma.assemble(mesh, "P", 2, 0)
+        assert ma.continuity_check(space, space.project(u))
+        assert ma.check_commuting(mesh, "P", 2, u).passed
+        assert ma.assembled_dimension_by_rank(space) == space.dimension
+        del mesh, space
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- mesh faces from the reference faces -------------------------------------------

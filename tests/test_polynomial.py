@@ -153,6 +153,10 @@ def test_compose_affine():
     # (x1)^2 with x1 = 2t gives 4 t^2
     sq = Polynomial.monomial(1, (2,))
     assert AffineEmbedding([[2]], [0]).substitute(sq) == Polynomial.monomial(1, (2,), 4)
+    # a power far beyond the interpreter's recursion limit
+    high = Polynomial.monomial(1, (5000,))
+    assert (AffineEmbedding([[2]], [0]).substitute(high)
+            == Polynomial.monomial(1, (5000,), 2 ** 5000))
 
 
 def test_antiderivative_inverts_partial():
