@@ -18,11 +18,12 @@ from feforms.forms import form_from_string
 from feforms.spaces import FAMILIES, make_spec
 
 
-def _add_spec_args(p):
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--r", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
+def _add_spec_args(p, names=("family", "n", "r", "k")):
+    for name in names:
+        if name == "family":
+            p.add_argument("--family", required=True, choices=FAMILIES)
+        else:
+            p.add_argument(f"--{name}", required=True, type=int)
 
 
 def _add_out_args(p, with_format=False):
@@ -50,15 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_args(p)
 
     p = sub.add_parser("complex", help="subcomplex and exactness certificates")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--r", required=True, type=int)
+    _add_spec_args(p, ("family", "n", "r"))
     _add_out_args(p, with_format=True)
 
     p = sub.add_parser("homotopy", help="contraction/derivative identity")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--r", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
+    _add_spec_args(p, ("n", "r", "k"))
     _add_out_args(p, with_format=True)
 
     p = sub.add_parser("table1", help="reproduce the box-family dimension tables")
@@ -69,9 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_args(p)
 
     p = sub.add_parser("project", help="project a form onto an assembled space")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--r", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
+    _add_spec_args(p, ("family", "r", "k"))
     p.add_argument("--mesh", required=True, help="mesh JSON path")
     p.add_argument("--form", required=True,
                    help="form in canonical text syntax, e.g. '1/1 x1 dx2'")
@@ -171,7 +166,7 @@ def run(argv=None) -> int:
     if args.verb == "project":
         try:
             mesh = mesh_assembly.read_mesh(args.mesh)
-        except (OSError, json.JSONDecodeError, mesh_assembly.MeshError) as exc:
+        except (OSError, ValueError) as exc:
             sys.stderr.write(f"error: cannot read mesh: {exc}\n")
             return 2
         space = mesh_assembly.assemble(mesh, args.family, args.r, args.k)

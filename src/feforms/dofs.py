@@ -210,24 +210,25 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
     A degree-(r-1) k-form whose trace vanishes on every facet and whose
     moments against all (n-k)-form weights of degree r+k-n-1 vanish must be
     zero; equivalently the stacked constraint matrix has full column rank.
+    The moment rows come from `dof_matrix` on the cell.  r = 0 is refused:
+    with no form to test, the check could not fail.
     """
+    if r < 1:
+        raise ValueError(f"the trace-moment check needs r >= 1, got r={r}")
     forms = monomial_forms(n, k, r - 1)
     cols = len(forms)
     ech = linalg.Echelon()
     columns = [linalg.int_row(f.terms) for f in forms]
-    for face in reference_faces("simplex", n):
+    faces = reference_faces("simplex", n)
+    for face in faces:
         if face.dim == n - 1:
             index = face_traces(columns, face)
             for key in sorted(index):
                 ech.add(index[key])
-    moments = FaceMoments("simplex")
-    for q in monomial_forms(n, n - k, r + k - n - 1):
-        row = {}
-        for j, f in enumerate(forms):
-            v = moments(f, q)
-            if v:
-                row[j] = v
-        ech.add(row)
+    interior = DofSet(SpaceSpec("P", n, r - 1, k), tuple(
+        DofFunctional(faces[-1], q) for q in monomial_forms(n, n - k, r + k - n - 1)))
+    for row in dof_matrix(forms, interior):
+        ech.add(dict(enumerate(row)))
     return {
         "r": r, "k": k, "n": n,
         "space_dim": cols,

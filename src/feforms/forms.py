@@ -29,10 +29,12 @@ from feforms.polynomial import (
     DegenerateSimplexError,
     NEG_INF,
     Polynomial,
+    affine_polynomial,
     exact,
     monomial_string,
     rational_from_string,
     substitute,
+    sum_terms,
 )
 
 
@@ -178,18 +180,8 @@ class PolyForm:
 
 
 def _sum(n: int, k: int, pairs) -> PolyForm:
-    """Sum ((sigma, alpha), c) pairs of ints and Fractions into a k-form on
-    R^n, deleting entries that cancel, so no zero coefficient is kept, and
-    storing each coefficient in its `exact` form."""
-    terms: dict = {}
-    for key, c in pairs:
-        if key in terms:
-            c += terms[key]
-            if not c:
-                del terms[key]
-                continue
-        terms[key] = exact(c)
-    return PolyForm._of(n, k, terms)
+    """The k-form on R^n summed from ((sigma, alpha), c) pairs by `sum_terms`."""
+    return PolyForm._of(n, k, sum_terms(pairs))
 
 
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
@@ -325,7 +317,6 @@ class AffineEmbedding:
         if p.n != self.target_dim:
             raise ValueError("polynomial dimension mismatch")
         if self._images is None:
-            from feforms.polynomial import affine_polynomial
             self._images = [affine_polynomial(self.source_dim, row, c)
                             for row, c in zip(self.matrix, self.offset)]
         return substitute(p, self._images, self.source_dim, self._powers)

@@ -481,13 +481,8 @@ def assembled_dimension_by_rank(space: GlobalSpace) -> int:
         base = space._dof_row(dof, psi0)
         for ei, psi in adj[1:]:
             other = space._dof_row(dof, psi)
-            row = {}
-            for j in range(dimv):
-                if base[j]:
-                    row[(e0, j)] = base[j]
-                if other[j]:
-                    row[(ei, j)] = row.get((ei, j), Fraction(0)) - other[j]
-            ech.add(row)
+            ech.add({**{(e0, j): v for j, v in enumerate(base) if v},
+                     **{(ei, j): -v for j, v in enumerate(other) if v}})
     return nel * dimv - ech.rank
 
 
@@ -502,10 +497,6 @@ def continuity_check(space: GlobalSpace, pieces: dict) -> bool:
             if pullback(pieces[ei], psi) != ref:
                 return False
     return True
-
-
-def pieces_equal(a: dict, b: dict) -> bool:
-    return set(a) == set(b) and all(a[e] == b[e] for e in a)
 
 
 def pieces_d(pieces: dict) -> dict:
@@ -533,7 +524,7 @@ def check_commuting(mesh: Mesh, family: str, r: int, u) -> "Certificate":
     pieces = space_k.as_pieces(u)
     left = pieces_d(space_k.project(pieces))
     right = space_k1.project(pieces_d(pieces))
-    ok = pieces_equal(left, right)
+    ok = left == right
     witness = {"dim_k": space_k.dimension, "dim_k1": space_k1.dimension}
     if not ok:
         witness["left"] = pieces_to_json_dict(left)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from feforms import linalg
 from feforms.combinatorics import MultiIndex
@@ -44,6 +45,22 @@ def exact(c):
                             "pass an int, a Fraction or a 'p/q' string")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def sum_terms(pairs) -> dict:
+    """Sum (key, c) pairs of nonzero ints and Fractions into one sparse
+    map, deleting entries that cancel, so no zero coefficient is kept, and
+    storing each coefficient in its `exact` form.  Polynomials and forms
+    keep their invariant through this one accumulator."""
+    terms: dict = {}
+    for key, c in pairs:
+        if key in terms:
+            c += terms[key]
+            if not c:
+                del terms[key]
+                continue
+        terms[key] = exact(c)
+    return terms
 
 
 def rational_from_string(s: str) -> Fraction:
@@ -116,14 +133,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.n, other)
         self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a, 0) + c
-            if s:
-                terms[a] = exact(s)
-            else:
-                terms.pop(a, None)
-        return Polynomial._of(self.n, terms)
+        return Polynomial._of(self.n, sum_terms(chain(self.terms.items(),
+                                                      other.terms.items())))
 
     __radd__ = __add__
 
@@ -145,16 +156,9 @@ class Polynomial:
                 return Polynomial.zero(self.n)
             return Polynomial._of(self.n, {a: exact(c * v) for a, v in self.terms.items()})
         self._check(other)
-        out: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = exact(s)
-                else:
-                    out.pop(key, None)
-        return Polynomial._of(self.n, out)
+        return Polynomial._of(self.n, sum_terms(
+            (tuple(x + y for x, y in zip(a, b)), ca * cb)
+            for a, ca in self.terms.items() for b, cb in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -179,12 +183,9 @@ class Polynomial:
         if not 1 <= j <= self.n:
             raise ValueError(f"variable index {j} out of range 1..{self.n}")
         i = j - 1
-        out = {}
-        for a, c in self.terms.items():
-            if a[i]:
-                b = a[:i] + (a[i] - 1,) + a[i + 1:]
-                out[b] = out.get(b, 0) + c * a[i]
-        return Polynomial(self.n, out)
+        return Polynomial._of(self.n, sum_terms(
+            (a[:i] + (a[i] - 1,) + a[i + 1:], c * a[i])
+            for a, c in self.terms.items() if a[i]))
 
     def sdeg(self):
         """Superlinear degree: max over monomials, NEG_INF for zero."""
@@ -215,12 +216,8 @@ def sdeg_exponents(alpha) -> int:
 
 def affine_polynomial(m: int, coeffs, constant) -> Polynomial:
     """The affine polynomial constant + sum_j coeffs[j] * t_j in m variables."""
-    p = Polynomial.constant(m, constant)
-    for j, c in enumerate(coeffs):
-        if c:
-            p = p + Polynomial.monomial(
-                m, tuple(1 if i == j else 0 for i in range(m)), c)
-    return p
+    return Polynomial(m, {(0,) * m: constant, **{
+        tuple(int(i == j) for i in range(m)): c for j, c in enumerate(coeffs)}})
 
 
 def substitute(p: Polynomial, images: list[Polynomial], m: int,
@@ -236,30 +233,28 @@ def substitute(p: Polynomial, images: list[Polynomial], m: int,
     # monomials in a variable mapped to zero vanish; skipping them keeps
     # their (zero) images out of the shared cache
     dead = [i for i, im in enumerate(images) if im.is_zero]
-    out: dict = {}
-    for alpha, c in p.terms.items():
-        if dead and any(alpha[i] for i in dead):
-            continue
-        # lower the last nonzero exponent to a cached power, then multiply up
-        steps = []
-        beta = alpha
-        while beta not in power_cache:
-            i = max((i for i, e in enumerate(beta) if e), default=None)
-            if i is None:
-                power_cache[beta] = Polynomial.constant(m, 1)
-                break
-            steps.append((beta, i))
-            beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-        image = power_cache[beta]
-        for beta, i in reversed(steps):
-            image = power_cache[beta] = image * images[i]
-        for b, v in image.terms.items():
-            s = out.get(b, 0) + c * v
-            if s:
-                out[b] = exact(s)
-            else:
-                out.pop(b, None)
-    return Polynomial._of(m, out)
+    return Polynomial._of(m, sum_terms(
+        (b, c * v) for alpha, c in p.terms.items()
+        if not (dead and any(alpha[i] for i in dead))
+        for b, v in _power_image(alpha, images, m, power_cache).terms.items()))
+
+
+def _power_image(alpha, images, m: int, power_cache: dict) -> Polynomial:
+    """The image of x^alpha: lower the last nonzero exponent down to a
+    cached power, then multiply back up, caching each power on the way."""
+    steps = []
+    beta = alpha
+    while beta not in power_cache:
+        i = max((i for i, e in enumerate(beta) if e), default=None)
+        if i is None:
+            power_cache[beta] = Polynomial.constant(m, 1)
+            break
+        steps.append((beta, i))
+        beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+    image = power_cache[beta]
+    for beta, i in reversed(steps):
+        image = power_cache[beta] = image * images[i]
+    return image
 
 
 @dataclass(frozen=True)

@@ -118,10 +118,7 @@ def select_independent(forms) -> list[PolyForm]:
 
 
 def span_rank(forms) -> int:
-    ech = linalg.Echelon()
-    for f in forms:
-        ech.add(f.terms)
-    return ech.rank
+    return len(select_independent(forms))
 
 
 def spans_equal(forms_a, forms_b) -> bool:

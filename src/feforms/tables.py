@@ -52,11 +52,7 @@ S_TABLE = {
 
 
 def computed_entry(family: str, n: int, r: int, k: int) -> int:
-    if family == "Qminus":
-        return spaces.dimension_Qminus(n, r, k)
-    if family == "S":
-        return spaces.basis_S(r, k, n).dim
-    raise ValueError(f"no table for family {family!r}")
+    return spaces.dimension(spaces.SpaceSpec(family, n, r, k))
 
 
 def table1_certificates() -> list[Certificate]:

@@ -1,0 +1,201 @@
+"""A catalogue of mutants of the package, each with the tests that must kill it.
+
+Each entry breaks one rule on purpose: in `file` (a module of
+src/feforms), the text `find`, which occurs exactly once there, becomes
+`replace`.  Every test named in `tests` must fail on the mutant; a test id
+without parameters covers all of its parametrized cases.  A check that a
+mutant survives is a check that can no longer fail.
+
+Run it from the repository root, after the tier-1 tests pass:
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is applied on its own to a temporary copy of src/, tests/,
+meshes/ and pyproject.toml, and its tests run there in one pytest
+subprocess at a time.  The runner prints one line per mutant and exits 1
+when any survives or cannot be run.  Pytest does not collect this file;
+`tests/test_mutants.py` checks in tier 1 that every `find` still occurs
+exactly once, so a change that moves the code must update its entry.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "feforms"
+COPIED = ("src", "tests", "meshes", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    find: str
+    replace: str
+    tests: tuple
+
+
+CATALOGUE = (
+    # -- the one sparse accumulator, seen through polynomials and forms
+    Mutant("sum-terms-keeps-cancelled-entries", "polynomial.py",
+           "            if not c:\n                del terms[key]\n                continue\n",
+           "",
+           ("tests/test_polynomial.py::test_zero_pruning",
+            "tests/test_forms.py::test_d_and_koszul_delete_cancelled_entries")),
+    Mutant("sum-terms-skips-exact", "polynomial.py",
+           "        terms[key] = exact(c)\n",
+           "        terms[key] = c\n",
+           ("tests/test_polynomial.py::test_integral_coefficients_are_stored_as_ints",
+            "tests/test_forms.py::test_integral_results_are_stored_as_ints")),
+    Mutant("substitute-powers-in-forward-order", "polynomial.py",
+           "    for beta, i in reversed(steps):",
+           "    for beta, i in steps:",
+           ("tests/test_forms.py::test_pullback_functoriality_and_naturality",)),
+    Mutant("barycentric-planes-without-exact", "polynomial.py",
+           "        sol = [exact(c) for c in lu.solve(",
+           "        sol = [c for c in lu.solve(",
+           ("tests/test_polynomial.py::test_barycentric_properties_random",)),
+    # -- degrees of freedom
+    Mutant("dof-matrix-drops-last-row", "dofs.py",
+           "    return rows\n",
+           "    return rows[:-1]\n",
+           ("tests/test_dofs.py::test_dof_matrix_is_the_exact_matrix_rescaled",
+            "tests/test_dofs.py::test_trace_moment_vanishing")),
+    Mutant("face-traces-keeps-cancelled-entries", "dofs.py",
+           "{j: v.numerator for j, v in entry.items() if v}",
+           "{j: v.numerator for j, v in entry.items()}",
+           ("tests/test_dofs.py::test_dof_matrix_drops_a_trace_that_cancels",)),
+    Mutant("face-traces-skips-integrality-check", "dofs.py",
+           "any(v.denominator != 1 for v in entry.values())",
+           "False",
+           ("tests/test_dofs.py::test_dof_matrix_rejects_a_trace_that_is_not_integral",)),
+    Mutant("trace-moment-accepts-r-0", "dofs.py",
+           "    if r < 1:\n        raise ValueError(f\"the trace-moment",
+           "    if r < 0:\n        raise ValueError(f\"the trace-moment",
+           ("tests/test_dofs.py::test_trace_moment_vanishing_refuses_degree_0",)),
+    Mutant("trace-moment-drops-a-moment-row", "dofs.py",
+           "    for row in dof_matrix(forms, interior):",
+           "    for row in dof_matrix(forms, interior)[1:]:",
+           ("tests/test_dofs.py::test_trace_moment_vanishing",)),
+    # -- integration, families and tables
+    Mutant("box-monomial-rule-e-plus-2", "forms.py",
+           "        den *= e + 1\n",
+           "        den *= e + 2\n",
+           ("tests/test_forms.py::test_integrate_box_examples",)),
+    Mutant("s-chain-drop-0", "spaces.py",
+           '"S": Family("box", 1, 1),',
+           '"S": Family("box", 1, 0),',
+           ("tests/test_complexes.py::test_chain_degrees",)),
+    Mutant("table-entry-off-by-one-for-s", "tables.py",
+           "    return spaces.dimension(spaces.SpaceSpec(family, n, r, k))\n",
+           "    return spaces.dimension(spaces.SpaceSpec(family, n, r, k)) + (family == \"S\")\n",
+           ("tests/test_acceptance.py::test_criterion_1_table1_reproduction",
+            "tests/test_verify.py::test_table1_certificates_pass")),
+    # -- exact linear algebra
+    Mutant("mod-p-certifies-a-zero-pivot", "linalg.py",
+           "        if not piv:\n            return False\n",
+           "        if not piv:\n            return True\n",
+           ("tests/test_linalg.py::test_is_nonsingular",)),
+    Mutant("lu-solve-drops-the-scale", "linalg.py",
+           "Fraction(-rest.get(n + j, 0), s)",
+           "Fraction(-rest.get(n + j, 0))",
+           ("tests/test_linalg.py::test_lu_solve_is_exact_or_refuses_a_singular_matrix",)),
+    Mutant("lu-singular-check-past-n", "linalg.py",
+           "if any(col >= n for col in self.ech.pivots):",
+           "if any(col > n for col in self.ech.pivots):",
+           ("tests/test_linalg.py::test_lu_solve_is_exact_or_refuses_a_singular_matrix",)),
+    # -- meshes
+    Mutant("from-dof-values-feeds-zero-coefficients", "mesh_assembly.py",
+           "for c, b in zip(coeffs, self.basis.forms) if c\n",
+           "for c, b in zip(coeffs, self.basis.forms)\n",
+           ("tests/test_mesh.py::test_projection_reproduces_global_linears",)),
+    Mutant("constraint-rows-skip-faces-of-two-elements", "mesh_assembly.py",
+           "        if len(adj) < 2:\n            continue\n        e0, psi0 = adj[0]\n        base",
+           "        if len(adj) < 3:\n            continue\n        e0, psi0 = adj[0]\n        base",
+           ("tests/test_mesh.py::test_assemble_face_sum_and_rank_agree",)),
+    Mutant("commuting-always-passes", "mesh_assembly.py",
+           "    ok = left == right\n",
+           "    ok = True\n",
+           ("tests/test_verify.py::test_commuting_certificate_fails_on_wrong_chain_drop",)),
+    Mutant("box-grid-axis-n-fastest", "mesh_assembly.py",
+           "    points = [p[::-1] for p in product(*(range(m + 1) for m in reversed(shape)))]",
+           "    points = list(product(*(range(m + 1) for m in shape)))",
+           ("tests/test_mesh.py::test_sample_mesh_files_match_the_builders",)),
+    # -- exit-2 boundaries of the CLI
+    Mutant("project-lets-a-non-utf8-mesh-escape", "cli.py",
+           "        except (OSError, ValueError) as exc:",
+           "        except (OSError, json.JSONDecodeError, mesh_assembly.MeshError) as exc:",
+           ("tests/test_cli.py::test_project_unreadable_mesh",)),
+    Mutant("write-lets-oserror-escape", "cli.py",
+           "    except OSError as exc:\n        raise ValueError(f\"cannot write {path}",
+           "    except ZeroDivisionError as exc:\n        raise ValueError(f\"cannot write {path}",
+           ("tests/test_cli.py::test_unwritable_out_exits_2",)),
+    Mutant("mesh-of-dimension-0-accepted", "mesh_assembly.py",
+           '            raise MeshError(f"mesh dimension must be at least 1, got {n}")',
+           "            pass",
+           ("tests/test_cli.py::test_project_on_a_0_dimensional_mesh_exits_2",)),
+)
+
+
+def _failed_tests(output: str) -> set:
+    """Node ids of the failed tests in `pytest -rf` output, parameters cut."""
+    return {re.sub(r"\[.*$", "", line.split()[1])
+            for line in output.splitlines() if line.startswith("FAILED ")}
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """Apply one mutant to a fresh copy and run its tests: ("killed", "")
+    when every named test fails, else ("survived" or "error", details)."""
+    with tempfile.TemporaryDirectory(prefix="feforms-mutant-") as tmp:
+        for name in COPIED:
+            source, target = ROOT / name, Path(tmp) / name
+            if source.is_dir():
+                shutil.copytree(source, target,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(source, target)
+        path = Path(tmp) / "src" / "feforms" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.find) != 1:
+            return "error", f"the text to replace occurs {text.count(mutant.find)} times"
+        path.write_text(text.replace(mutant.find, mutant.replace), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             *mutant.tests], cwd=tmp, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        return "error", f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}"
+    missed = set(mutant.tests) - _failed_tests(proc.stdout)
+    if missed:
+        return "survived", "passed: " + ", ".join(sorted(missed))
+    return "killed", ""
+
+
+def main(names) -> int:
+    chosen = [m for m in CATALOGUE if not names or m.name in names]
+    unknown = set(names) - {m.name for m in CATALOGUE}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    start = time.monotonic()
+    bad = 0
+    for mutant in chosen:
+        verdict, details = run(mutant)
+        bad += verdict != "killed"
+        print(f"{verdict:8} {mutant.file}: {mutant.name}" + (f"  ({details})" if details else ""),
+              flush=True)
+    print(f"{len(chosen) - bad}/{len(chosen)} mutants killed "
+          f"in {time.monotonic() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

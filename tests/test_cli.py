@@ -105,9 +105,12 @@ def test_project_verb(tmp_path, capsys):
 
 
 def test_project_unreadable_mesh(tmp_path, capsys):
-    assert run(["project", "--family", "P", "--r", "1", "--k", "0",
-                "--mesh", str(tmp_path / "missing.json"),
-                "--form", "1/1 x1"]) == 2
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "missing.json", not_utf8):
+        assert run(["project", "--family", "P", "--r", "1", "--k", "0",
+                    "--mesh", str(path), "--form", "1/1 x1"]) == 2
+        assert "error: cannot read mesh: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("form", ["1/1 x3", "1/1 x0"])

@@ -191,6 +191,12 @@ def test_trace_moment_vanishing():
                 assert report["pass"], report
 
 
+def test_trace_moment_vanishing_refuses_degree_0():
+    """P_(-1) holds no form, so at r = 0 the check could not fail."""
+    with pytest.raises(ValueError, match="needs r >= 1"):
+        trace_moment_vanishing_check(0, 0, 1)
+
+
 def test_lagrange_coincides_with_pminus_zero_forms():
     lag = dofs_for(make_spec("P", 2, 2, 0))
     pm = dofs_for(make_spec("Pminus", 2, 2, 0))

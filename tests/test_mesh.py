@@ -151,7 +151,7 @@ def test_projection_identity_on_members():
         for index in range(space.dimension):
             member = unit_member(space, index)
             again = space.project(member)
-            assert ma.pieces_equal(member, again)
+            assert member == again
 
 
 def test_projection_idempotent_on_polynomials():
@@ -161,7 +161,7 @@ def test_projection_idempotent_on_polynomials():
         Polynomial.monomial(2, (3, 1), 2) + Polynomial.monomial(2, (1, 0)))
     once = space.project(u)
     twice = space.project(once)
-    assert ma.pieces_equal(once, twice)
+    assert once == twice
 
 
 def test_projection_reproduces_global_linears():
@@ -169,7 +169,7 @@ def test_projection_reproduces_global_linears():
     space = ma.assemble(mesh, "P", 1, 0)
     u = PolyForm.from_polynomial(Polynomial.variable(3, 1))
     proj = space.project(u)
-    assert ma.pieces_equal(proj, space.as_pieces(u))
+    assert proj == space.as_pieces(u)
 
 
 def test_projection_vertex_interpolant():
@@ -477,7 +477,7 @@ def test_from_dof_values_inverts_dof_values(name, family, r, k):
     assert ma.continuity_check(space, member)
     for u in monomial_forms(mesh.n, k, r + 1):
         values = space.dof_values(space.as_pieces(u))
-        assert ma.pieces_equal(space.from_dof_values(values), space.project(u))
+        assert space.from_dof_values(values) == space.project(u)
 
 
 def test_a_unit_vector_solves_only_next_to_its_face(monkeypatch):
@@ -502,7 +502,7 @@ def global_d(space, target):
         d_phi = ma.pieces_d(unit_member(space, index))
         values = target.dof_values(d_phi)
         assert ma.continuity_check(target, d_phi)
-        assert ma.pieces_equal(target.from_dof_values(values), d_phi)
+        assert target.from_dof_values(values) == d_phi
         columns.append(values)
     return [list(row) for row in zip(*columns)]
 

@@ -52,7 +52,8 @@ def test_integral_coefficients_are_stored_as_ints():
     assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
     half = Polynomial.monomial(1, (1,), Fraction(1, 2))
     doubled = AffineEmbedding([[2]], [0]).substitute(half)
-    for q in (half + half, 2 * half, half * Polynomial.constant(1, 2), doubled):
+    for q in (half + half, 2 * half, half * Polynomial.constant(1, 2), doubled,
+              Polynomial.monomial(1, (2,), Fraction(1, 2)).partial(1)):
         assert q.terms == {(1,): 1} and type(q.terms[(1,)]) is int
 
 
@@ -82,6 +83,8 @@ def test_zero_pruning():
     assert p.is_zero and p.terms == {}
     assert p.degree() == NEG_INF
     assert p.degree() <= -10  # the sentinel accepts every degree bound
+    assert ((x(1, 1) + 1) * (x(1, 1) - 1)).terms == {(2,): 1, (0,): -1}
+    assert AffineEmbedding([[1], [-1]], [0, 0]).substitute(x(2, 1) + x(2, 2)).terms == {}
 
 
 def test_partial_derivative():
