@@ -32,6 +32,7 @@ from feforms.polynomial import (
     affine_polynomial,
     exact,
     monomial_string,
+    ratios,
     rational_from_string,
     substitute,
     sum_terms,
@@ -248,13 +249,14 @@ def ldeg(alpha, sigma) -> int:
 class AffineEmbedding:
     """Affine map t -> offset + matrix @ t from Q^m into Q^n.
 
-    Caches substitution powers and alternator minors, so reusing one
-    embedding across many pullbacks (as the degree-of-freedom machinery
-    does) stays cheap, and so does deciding, once, whether the map is a
-    coordinate injection (`_coordinate_axes`).
+    `scale`, the lcm of the entry denominators, puts substitution and
+    minors on integers.  Caches substitution powers and alternator minors,
+    so reusing one embedding across many pullbacks (as the degree-of-freedom
+    machinery does) stays cheap, and so does deciding, once, whether the
+    map is a coordinate injection (`_coordinate_axes`).
     """
 
-    __slots__ = ("source_dim", "target_dim", "matrix", "offset",
+    __slots__ = ("source_dim", "target_dim", "matrix", "offset", "scale",
                  "_powers", "_minors", "_images", "_coords")
 
     def __init__(self, matrix, offset):
@@ -270,9 +272,12 @@ class AffineEmbedding:
         self.target_dim = n
         self.matrix = matrix
         self.offset = offset
+        self.scale = lcm(*[v.denominator for v in chain(offset, *matrix)])
+        self._images = [{a: exact(v * self.scale) for a, v in
+                         affine_polynomial(m, row, c).terms.items()}
+                        for row, c in zip(matrix, offset)]
         self._powers: dict = {}
         self._minors: dict = {}
-        self._images = None
         self._coords = _coordinate_axes(matrix, offset, m)
 
     @classmethod
@@ -316,17 +321,16 @@ class AffineEmbedding:
         """Exact composition p(offset + matrix @ t), with shared power cache."""
         if p.n != self.target_dim:
             raise ValueError("polynomial dimension mismatch")
-        if self._images is None:
-            self._images = [affine_polynomial(self.source_dim, row, c)
-                            for row, c in zip(self.matrix, self.offset)]
-        return substitute(p, self._images, self.source_dim, self._powers)
+        nums, den = substitute(p, self._images, self.scale, self.source_dim, self._powers)
+        return Polynomial._of(self.source_dim, ratios(nums, den))
 
-    def minor(self, sigma, tau):
-        """det of the submatrix with rows sigma and columns tau (1-based)."""
+    def minor(self, sigma, tau) -> int:
+        """det of the submatrix of scale * matrix with rows sigma and columns
+        tau (1-based): scale^len(sigma) times the minor of the map."""
         key = (sigma, tau)
         got = self._minors.get(key)
         if got is None:
-            got = _det([[self.matrix[s - 1][t - 1] for t in tau] for s in sigma])
+            got = _det([[self.matrix[s - 1][t - 1] * self.scale for t in tau] for s in sigma])
             self._minors[key] = got
         return got
 
@@ -335,7 +339,7 @@ class AffineEmbedding:
             raise ValueError("jacobian determinant needs a square map")
         d = self.source_dim
         full = tuple(range(1, d + 1))
-        return self.minor(full, full)
+        return exact(Fraction(self.minor(full, full), self.scale ** d))
 
 
 def _det(rows):
@@ -391,7 +395,8 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
 
     Coefficients are composed with f; each alternator dx^sigma turns into
     the wedge of the pulled-back coordinate differentials, whose dt^tau
-    coefficient is the (sigma, tau) minor of the linear part.
+    coefficient is the (sigma, tau) minor of the linear part.  Both run on
+    the integer scale of f, and each output coefficient is formed once.
     """
     if u.n != f.target_dim:
         raise ValueError(f"form lives on R^{u.n}, map targets R^{f.target_dim}")
@@ -403,14 +408,16 @@ def pullback(u: PolyForm, f: AffineEmbedding) -> PolyForm:
         return _sum(m, k, [(key, c) for (sigma, alpha), c in u.terms.items()
                            if (key := _coordinate_trace(f._coords, sigma, alpha))])
     taus = enumerate_sigma(k, m)
+    images = [(sigma, *substitute(a, f._images, f.scale, m, f._powers))
+              for sigma, a in u.components.items()]
+    den = lcm(*[d for *_, d in images])
     pairs = []
-    for sigma, a in u.components.items():
-        a_t = f.substitute(a).terms
+    for sigma, nums, d in images:
         for tau in taus:
-            det = f.minor(sigma, tau)
+            det = f.minor(sigma, tau) * (den // d)
             if det:
-                pairs += [((tau, beta), c * det) for beta, c in a_t.items()]
-    return _sum(m, k, pairs)
+                pairs += [((tau, beta), c * det) for beta, c in nums.items()]
+    return PolyForm._of(m, k, ratios(sum_terms(pairs), den * f.scale ** k))
 
 
 def monomial_trace(chart: AffineEmbedding, sigma, alpha) -> list:
@@ -498,8 +505,9 @@ class FaceMoments:
     x^alpha dx^tau against q, filled on first use from the closed monomial
     integral.  A moment is then a sparse dot product over the terms of tr,
     summed over integers on the lcm of the entries it reads (`scaled`):
-    no wedge product is formed.  On R^0 the empty monomial integrates to 1,
-    which is point evaluation, so vertices need no special case.
+    no wedge product is formed; `moments` scales tr once for many weights.
+    On R^0 the empty monomial integrates to 1, which is point evaluation,
+    so vertices need no special case.
 
     Tables grow with every monomial met and keep their weights alive, so
     scope an instance to one computation, not to the process.
@@ -511,16 +519,21 @@ class FaceMoments:
             raise ValueError(f"unknown element kind {kind!r}")
         self._tables: dict[int, tuple[PolyForm, dict]] = {}
 
-    def __call__(self, tr: PolyForm, q: PolyForm) -> Fraction:
+    def __call__(self, tr: PolyForm, q: PolyForm):
+        return self.moments(tr, (q,))[0]
+
+    def moments(self, tr: PolyForm, weights) -> list:
+        """The moment of tr against each weight, in `exact` form."""
         d = tr.n
-        if q.n != d or tr.k + q.k != d:
-            raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
-                             f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
-        terms = tr.terms
-        den = lcm(*[c.denominator for c in terms.values()])
-        m, scale = self.scaled(q, terms)
-        return Fraction(sum([terms[key].numerator * (den // terms[key].denominator) * v
-                             for key, v in m.items()]), den * scale)
+        for q in weights:
+            if q.n != d or tr.k + q.k != d:
+                raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
+                                 f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
+        den = lcm(*[c.denominator for c in tr.terms.values()])
+        ints = {key: c.numerator * (den // c.denominator) for key, c in tr.terms.items()}
+        scaled = [self.scaled(q, ints) for q in weights]
+        return [exact(Fraction(sum([ints[key] * v for key, v in m.items()]), den * scale))
+                for m, scale in scaled]
 
     def scaled(self, q: PolyForm, keys) -> tuple[dict, int]:
         """The nonzero moments of q against the monomials (tau, alpha) in

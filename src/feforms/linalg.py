@@ -168,14 +168,17 @@ class LUFactor:
         if any(col >= n for col in self.ech.pivots):
             raise SingularMatrixError("matrix is singular")
 
-    def solve(self, b: list) -> list[Fraction]:
+    def solve(self, b: list) -> tuple[list[int], int]:
+        """x with A x = b as ints (t, s): x_j = t_j / s, s > 0, gcd(*t, s) = 1."""
         n = self.n
         if len(b) != n:
             raise ValueError(f"right-hand side has length {len(b)}, need {n}")
         rest = self.ech.reduce({**dict(enumerate(b)), 2 * n: 1})
         s = rest[2 * n]
-        return [Fraction(-rest.get(n + j, 0), s) for j in range(n)]
+        sign = -1 if s > 0 else 1
+        return [sign * rest.get(n + j, 0) for j in range(n)], -sign * s
 
 
 def solve(rows: list, b: list) -> list[Fraction]:
-    return LUFactor(rows).solve(b)
+    t, s = LUFactor(rows).solve(b)
+    return [Fraction(v, s) for v in t]

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby, product
+from math import lcm
 
 from feforms import linalg, spaces
 from feforms.forms import (
     AffineEmbedding,
     FaceMoments,
     PolyForm,
-    _sum,
     exterior_derivative,
     form_to_string,
     pullback,
@@ -39,9 +39,12 @@ from feforms.forms import (
 from feforms.dofs import reference_faces, weight_basis
 from feforms.polynomial import (
     DegenerateSimplexError,
-    barycentric_planes,
+    exact,
+    integer_planes,
+    ratios,
     rational_from_string,
     rational_to_string,
+    sum_terms,
 )
 
 
@@ -77,7 +80,7 @@ class Mesh:
             raise MeshError(f"mesh dimension must be at least 1, got {n}")
         self.kind = kind
         self.n = n
-        self.vertices = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+        self.vertices = tuple(tuple(_coordinate(c) for c in v) for v in vertices)
         self.elements = tuple(tuple(e) for e in elements)
         if not all(_is_int(i) for e in self.elements for i in e):
             raise MeshError("element vertex ids must be integers")
@@ -103,20 +106,25 @@ class Mesh:
                 raise MeshError(f"element {e} must list {per_elem} distinct vertices")
             if any(not 0 <= i < len(self.vertices) for i in e):
                 raise MeshError(f"element {e} references a missing vertex")
+        # on the common denominator, every plane and point below is integral
+        den = lcm(*[c.denominator for v in self.vertices for c in v])
+        ints = [tuple(c.numerator * (den // c.denominator) for c in v) for v in self.vertices]
         if self.kind == "simplicial":
             planes = []
             for e in self.elements:
                 try:
-                    planes.append(barycentric_planes([self.vertices[i] for i in e]))
+                    planes.append([(grad, const) for grad, const, _ in
+                                   integer_planes([ints[i] for i in e])])
                 except DegenerateSimplexError:
                     raise DegenerateElementError(f"element {e} is degenerate") from None
-            self._check_simplicial_conformity(planes)
+            self._check_simplicial_conformity(planes, ints)
         else:
-            self._check_cubical_conformity([self._validate_box(e) for e in self.elements])
+            self._check_cubical_conformity(
+                [self._validate_box(e, ints) for e in self.elements])
 
-    def _validate_box(self, elem):
+    def _validate_box(self, elem, verts):
         n = self.n
-        corners = [self.vertices[i] for i in elem]
+        corners = [verts[i] for i in elem]
         lo = corners[0]
         hi = corners[-1]
         if any(l >= h for l, h in zip(lo, hi)):
@@ -129,14 +137,14 @@ class Mesh:
                     "axis-aligned box")
         return tuple(zip(lo, hi))
 
-    def _check_simplicial_conformity(self, planes):
+    def _check_simplicial_conformity(self, planes, verts):
         """Each pair of elements meets in a common face (or not at all).
 
-        `planes` holds each element's barycentric planes.  Only pairs whose
+        `planes` holds each element's barycentric planes, each scaled by a
+        positive factor, for the vertices `verts`.  Only pairs whose
         bounding boxes meet can intersect; a separating facet decides most
         of them, and the exact intersection-vertex enumeration the rest.
         """
-        verts = self.vertices
         boxes = [tuple((min(c), max(c)) for c in zip(*(verts[i] for i in e)))
                  for e in self.elements]
         for a, b in _meeting_pairs(boxes):
@@ -151,8 +159,8 @@ class Mesh:
             # a point of A lies in its face conv(shared) exactly when the
             # barycentric coordinates of A's other vertices vanish there
             outside = [plane for i, plane in zip(ea, planes[a]) if i not in shared]
-            for pt in _intersection_vertices(planes[a] + planes[b]):
-                if any(_plane_value(plane, pt) for plane in outside):
+            for pt, s in _intersection_vertices(planes[a] + planes[b]):
+                if any(_plane_value(plane, pt, s) for plane in outside):
                     raise NonconformingMeshError(
                         f"elements {a} and {b} meet outside a common face")
 
@@ -246,7 +254,7 @@ def read_mesh(source) -> Mesh:
     for key, rows in (("vertices", vertices), ("elements", elements)):
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise MeshError(f"mesh {key} must be a list of lists")
-    return Mesh(kind, n, [[_coordinate(c) for c in v] for v in vertices], elements)
+    return Mesh(kind, n, vertices, elements)
 
 
 def _is_int(x) -> bool:
@@ -254,10 +262,10 @@ def _is_int(x) -> bool:
 
 
 def _coordinate(c) -> Fraction:
-    """An exact coordinate from a `p/q` string or an integer.  Floats are
-    refused: their binary value is rarely the rational that was meant."""
-    if not (_is_int(c) or isinstance(c, str)):
-        raise MeshError(f"coordinate {c!r} is not a p/q string or an integer")
+    """An exact coordinate from a `p/q` string, an integer or a Fraction.
+    Floats are refused: their binary value is rarely the rational meant."""
+    if not (_is_int(c) or isinstance(c, (str, Fraction))):
+        raise MeshError(f"coordinate {c!r} is not a p/q string, an integer or a Fraction")
     try:
         return rational_from_string(c) if isinstance(c, str) else Fraction(c)
     except ValueError as exc:
@@ -290,9 +298,10 @@ def _meeting_pairs(boxes) -> list[tuple[int, int]]:
     return pairs
 
 
-def _plane_value(plane, point) -> Fraction:
+def _plane_value(plane, point, s=1):
+    """s times the plane's value at point / s."""
     grad, const = plane
-    return sum(g * x for g, x in zip(grad, point)) + const
+    return sum(g * x for g, x in zip(grad, point)) + const * s
 
 
 def _facet_separates(planes, ids, shared, vertices) -> bool:
@@ -313,28 +322,24 @@ def _facet_separates(planes, ids, shared, vertices) -> bool:
     return False
 
 
-def _intersection_vertices(planes) -> list[tuple]:
-    """Vertices of the polytope where every barycentric plane is >= 0.
+def _intersection_vertices(planes) -> set[tuple]:
+    """Vertices of the polytope where every barycentric plane is >= 0, each
+    as (numerators, s): the point numerators / s, with s > 0.
 
     Brute force over n-subsets of the planes (those of two simplices);
     each nonsingular subset contributes its solution when it satisfies all
     the halfspace constraints.
     """
     n = len(planes[0][0])
-    seen = set()
-    out = []
+    out = set()
     for subset in combinations(planes, n):
         try:
-            x = linalg.solve([list(grad) for grad, _ in subset],
-                             [-c for _, c in subset])
+            t, s = linalg.LUFactor([list(grad) for grad, _ in subset]).solve(
+                [-c for _, c in subset])
         except linalg.SingularMatrixError:
             continue
-        point = tuple(x)
-        if point in seen:
-            continue
-        seen.add(point)
-        if all(_plane_value(plane, point) >= 0 for plane in planes):
-            out.append(point)
+        if all(_plane_value(plane, t, s) >= 0 for plane in planes):
+            out.add((tuple(t), s))
     return out
 
 
@@ -360,6 +365,9 @@ class GlobalSpace:
         self.faces = mesh.faces()
         self.charts = mesh.charts
         self.basis = spaces.basis_for(self.spec)
+        self._basis_den = lcm(*[c.denominator for b in self.basis.forms
+                                for c in b.terms.values()])
+        self._int_basis = [b * self._basis_den for b in self.basis.forms]
         self.dofs: list[GlobalDof] = []
         element_dofs: list[list] = [[] for _ in mesh.elements]
         for face in self.faces:
@@ -375,7 +383,7 @@ class GlobalSpace:
                     f"{family} r={r} k={k} is not unisolvent: element {ei} carries "
                     f"{len(local)} DOFs for a space of dimension {self.basis.dim}")
         self._lu: dict[tuple, linalg.LUFactor] = {}
-        self._traces: dict[tuple, list] = {}
+        self._traces: dict[tuple, tuple] = {}
         self._moments = FaceMoments(mesh.element_kind)
 
     @property
@@ -384,30 +392,34 @@ class GlobalSpace:
 
     # -- functional evaluation ------------------------------------------
 
-    def dof_values(self, pieces: dict) -> list[Fraction]:
+    def dof_values(self, pieces: dict) -> list:
         """Global DOF values of a piecewise form, taken from the first
-        adjacent element of each face."""
+        adjacent element of each face, one trace per face."""
         out = []
         for face, group in groupby(self.dofs, key=lambda dof: dof.face):
             ei, psi = face.adjacent[0]
-            tr = pullback(pieces[ei], psi)
-            out += [self._moments(tr, dof.weight) for dof in group]
+            out += self._moments.moments(pullback(pieces[ei], psi),
+                                         [dof.weight for dof in group])
         return out
 
-    def _dof_row(self, dof: GlobalDof, psi: AffineEmbedding) -> list[Fraction]:
-        """The DOF applied, through the face chart psi, to every basis form.
+    def _dof_row(self, dof: GlobalDof, psi: AffineEmbedding) -> list:
+        """The DOF applied, through the face chart psi, to every basis form,
+        from one moment table read.
 
-        Basis traces are cached by chart value, shared by the element
-        matrices and the matching constraints of
+        The traces of the integer basis forms are cached by chart value,
+        shared by the element matrices and the matching constraints of
         `assembled_dimension_by_rank`; elements with the same local face
         orientation share one entry.
         """
         key = (psi.matrix, psi.offset)
-        traces = self._traces.get(key)
-        if traces is None:
-            traces = [pullback(b, psi) for b in self.basis.forms]
-            self._traces[key] = traces
-        return [self._moments(tr, dof.weight) for tr in traces]
+        got = self._traces.get(key)
+        if got is None:
+            traces = [pullback(b, psi).terms for b in self._int_basis]
+            got = self._traces[key] = (traces, {mono for tr in traces for mono in tr})
+        traces, monomials = got
+        m, scale = self._moments.scaled(dof.weight, monomials)
+        return [exact(Fraction(sum([c * m[mono] for mono, c in tr.items() if mono in m]),
+                               scale * self._basis_den)) for tr in traces]
 
     def _element_matrix(self, ei: int) -> linalg.LUFactor:
         """The element's factored DOF matrix, shared by the elements with
@@ -430,10 +442,10 @@ class GlobalSpace:
         pieces = {}
         for ei, local in enumerate(self.element_dofs):
             rhs = [values[dof.index] for dof, _ in local]
-            coeffs = self._element_matrix(ei).solve(rhs) if any(rhs) else ()
-            pieces[ei] = _sum(n, k, ((key, c * v)
-                                     for c, b in zip(coeffs, self.basis.forms) if c
-                                     for key, v in b.terms.items()))
+            coeffs, s = self._element_matrix(ei).solve(rhs) if any(rhs) else ((), 1)
+            terms = sum_terms((key, c * v) for c, b in zip(coeffs, self._int_basis) if c
+                              for key, v in b.terms.items())
+            pieces[ei] = PolyForm._of(n, k, ratios(terms, s * self._basis_den))
         return pieces
 
     def as_pieces(self, u) -> dict:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
+from operator import add
 
 from feforms import linalg
 from feforms.combinatorics import MultiIndex
@@ -45,6 +47,12 @@ def exact(c):
                             "pass an int, a Fraction or a 'p/q' string")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def ratios(nums: dict, den: int) -> dict:
+    """{key: v / den} for int values v and den > 0, each formed once in its
+    `exact` form."""
+    return nums if den == 1 else {key: exact(Fraction(v, den)) for key, v in nums.items()}
 
 
 def sum_terms(pairs) -> dict:
@@ -220,41 +228,47 @@ def affine_polynomial(m: int, coeffs, constant) -> Polynomial:
         tuple(int(i == j) for i in range(m)): c for j, c in enumerate(coeffs)}})
 
 
-def substitute(p: Polynomial, images: list[Polynomial], m: int,
-               power_cache: dict | None = None) -> Polynomial:
-    """Substitute images[i] for x^(i+1) in p; all images live in m variables.
-
-    `power_cache` maps exponent tuples to the images of their monomials;
-    pass a shared dict to reuse work across many substitutions into the
-    same map.
-    """
+def substitute(p: Polynomial, rows: list[dict], scale: int, m: int,
+               power_cache: dict | None = None) -> tuple[dict, int]:
+    """p with rows[i] / scale substituted for x^(i+1), as (numerators, den):
+    integer coefficients over one positive denominator.  The rows, and the
+    values of `power_cache` (scale^|alpha| times the image of x^alpha, by
+    alpha), map length-m exponent tuples to ints; pass a shared cache to
+    reuse work across many substitutions into the same map."""
     if power_cache is None:
         power_cache = {}
+    if not power_cache:
+        power_cache[(0,) * p.n] = {(0,) * m: 1}
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    top = max(map(sum, p.terms), default=0)
     # monomials in a variable mapped to zero vanish; skipping them keeps
     # their (zero) images out of the shared cache
-    dead = [i for i, im in enumerate(images) if im.is_zero]
-    return Polynomial._of(m, sum_terms(
-        (b, c * v) for alpha, c in p.terms.items()
-        if not (dead and any(alpha[i] for i in dead))
-        for b, v in _power_image(alpha, images, m, power_cache).terms.items()))
+    dead = [i for i, row in enumerate(rows) if not row]
+    weights = [(alpha, c.numerator * (den // c.denominator) * scale ** (top - sum(alpha)))
+               for alpha, c in p.terms.items() if not (dead and any(alpha[i] for i in dead))]
+    nums = sum_terms((b, w * v) for alpha, w in weights
+                     for b, v in _power_image(alpha, rows, power_cache).items())
+    return nums, den * scale ** top
 
 
-def _power_image(alpha, images, m: int, power_cache: dict) -> Polynomial:
-    """The image of x^alpha: lower the last nonzero exponent down to a
-    cached power, then multiply back up, caching each power on the way."""
-    steps = []
-    beta = alpha
-    while beta not in power_cache:
-        i = max((i for i, e in enumerate(beta) if e), default=None)
-        if i is None:
-            power_cache[beta] = Polynomial.constant(m, 1)
-            break
-        steps.append((beta, i))
-        beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-    image = power_cache[beta]
-    for beta, i in reversed(steps):
-        image = power_cache[beta] = image * images[i]
-    return image
+def _power_image(alpha, rows, power_cache: dict) -> dict:
+    """The cached image of x^alpha: x^alpha / x_i times row i, for the last
+    variable x_i of alpha, when that power is cached or x_i enters once,
+    else two powers that split the exponent of x_i in halves, so a lone
+    power x^e caches O(log e) entries."""
+    got = power_cache.get(alpha)
+    if got is None:
+        i = max(i for i, e in enumerate(alpha) if e)
+        e, zero = alpha[i], (0,) * len(alpha)
+        low = alpha[:i] + (e - 1,) + alpha[i + 1:]
+        if e == 1 or low in power_cache:
+            a, b = _power_image(low, rows, power_cache), rows[i]
+        else:
+            a = _power_image(alpha[:i] + (e - e // 2,) + alpha[i + 1:], rows, power_cache)
+            b = _power_image(zero[:i] + (e // 2,) + zero[i + 1:], rows, power_cache)
+        got = power_cache[alpha] = sum_terms((tuple(map(add, x, y)), u * v)
+                                             for x, u in a.items() for y, v in b.items())
+    return got
 
 
 @dataclass(frozen=True)
@@ -268,10 +282,10 @@ class BarycentricSystem:
     lambdas: tuple
 
 
-def barycentric_planes(vertices) -> list[tuple]:
-    """(gradient, constant) of each barycentric coordinate of n+1 points in
-    Q^n, so that lambda_i(x) = gradient_i . x + constant_i, with `exact`
-    entries.  Raises DegenerateSimplexError on affinely dependent points."""
+def integer_planes(vertices) -> list[tuple]:
+    """(gradient, constant, s) of each barycentric coordinate of n+1 points
+    in Q^n, on integers, with lambda_i(x) = (gradient_i . x + constant_i) / s_i
+    and s_i > 0.  Raises DegenerateSimplexError on affinely dependent points."""
     if not vertices:
         raise ValueError("no vertices given")
     n = len(vertices[0])
@@ -284,9 +298,17 @@ def barycentric_planes(vertices) -> list[tuple]:
             "vertices are affinely dependent") from exc
     planes = []
     for i in range(n + 1):
-        sol = [exact(c) for c in lu.solve([int(j == i) for j in range(n + 1)])]
-        planes.append((sol[1:], sol[0]))
+        t, s = lu.solve([int(j == i) for j in range(n + 1)])
+        planes.append((t[1:], t[0], s))
     return planes
+
+
+def barycentric_planes(vertices) -> list[tuple]:
+    """(gradient, constant) of each barycentric coordinate of n+1 points in
+    Q^n, so that lambda_i(x) = gradient_i . x + constant_i, with `exact`
+    entries.  Raises DegenerateSimplexError on affinely dependent points."""
+    return [([exact(Fraction(g, s)) for g in grad], exact(Fraction(const, s)))
+            for grad, const, s in integer_planes(vertices)]
 
 
 def barycentric(vertices) -> BarycentricSystem:

@@ -55,13 +55,23 @@ CATALOGUE = (
            "        terms[key] = c\n",
            ("tests/test_polynomial.py::test_integral_coefficients_are_stored_as_ints",
             "tests/test_forms.py::test_integral_results_are_stored_as_ints")),
+    # -- substitution on the integer scale of a chart
     Mutant("substitute-powers-in-forward-order", "polynomial.py",
-           "    for beta, i in reversed(steps):",
-           "    for beta, i in steps:",
-           ("tests/test_forms.py::test_pullback_functoriality_and_naturality",)),
+           "_power_image(alpha[:i] + (e - e // 2,) + alpha[i + 1:], rows, power_cache)",
+           "_power_image(alpha[:i] + (e // 2,) + alpha[i + 1:], rows, power_cache)",
+           ("tests/test_forms.py::test_pullback_functoriality_and_naturality",
+            "tests/test_forms.py::test_integer_substitution_on_a_fixed_chart_of_every_kind_of_entry")),
+    Mutant("power-image-over-one-scale", "polynomial.py",
+           "    return nums, den * scale ** top\n",
+           "    return nums, den * scale\n",
+           ("tests/test_forms.py::test_integer_substitution_on_a_fixed_chart_of_every_kind_of_entry",)),
+    Mutant("power-image-peels-one-at-a-time", "polynomial.py",
+           "        if e == 1 or low in power_cache:\n",
+           "        if True:\n",
+           ("tests/test_polynomial.py::test_a_lone_high_power_caches_logarithmically_many_powers",)),
     Mutant("barycentric-planes-without-exact", "polynomial.py",
-           "        sol = [exact(c) for c in lu.solve(",
-           "        sol = [c for c in lu.solve(",
+           "    return [([exact(Fraction(g, s)) for g in grad], exact(Fraction(const, s)))",
+           "    return [([Fraction(g, s) for g in grad], Fraction(const, s))",
            ("tests/test_polynomial.py::test_barycentric_properties_random",)),
     # -- degrees of freedom
     Mutant("dof-matrix-drops-last-row", "dofs.py",
@@ -86,6 +96,10 @@ CATALOGUE = (
            "    for row in dof_matrix(forms, interior)[1:]:",
            ("tests/test_dofs.py::test_trace_moment_vanishing",)),
     # -- integration, families and tables
+    Mutant("batched-moments-reuse-the-first-scale", "forms.py",
+           "den * scale))\n                for m, scale in scaled]",
+           "den * scaled[0][1]))\n                for m, scale in scaled]",
+           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",)),
     Mutant("box-monomial-rule-e-plus-2", "forms.py",
            "        den *= e + 1\n",
            "        den *= e + 2\n",
@@ -105,8 +119,8 @@ CATALOGUE = (
            "        if not piv:\n            return True\n",
            ("tests/test_linalg.py::test_is_nonsingular",)),
     Mutant("lu-solve-drops-the-scale", "linalg.py",
-           "Fraction(-rest.get(n + j, 0), s)",
-           "Fraction(-rest.get(n + j, 0))",
+           "for j in range(n)], -sign * s\n",
+           "for j in range(n)], 1\n",
            ("tests/test_linalg.py::test_lu_solve_is_exact_or_refuses_a_singular_matrix",)),
     Mutant("lu-singular-check-past-n", "linalg.py",
            "if any(col >= n for col in self.ech.pivots):",
@@ -114,9 +128,14 @@ CATALOGUE = (
            ("tests/test_linalg.py::test_lu_solve_is_exact_or_refuses_a_singular_matrix",)),
     # -- meshes
     Mutant("from-dof-values-feeds-zero-coefficients", "mesh_assembly.py",
-           "for c, b in zip(coeffs, self.basis.forms) if c\n",
-           "for c, b in zip(coeffs, self.basis.forms)\n",
+           "for c, b in zip(coeffs, self._int_basis) if c\n",
+           "for c, b in zip(coeffs, self._int_basis)\n",
            ("tests/test_mesh.py::test_projection_reproduces_global_linears",)),
+    Mutant("validation-planes-negated", "mesh_assembly.py",
+           "planes.append([(grad, const) for grad, const, _ in",
+           "planes.append([([-g for g in grad], -const) for grad, const, _ in",
+           ("tests/test_mesh.py::test_integer_validation_agrees_with_the_oracle_on_thirds_and_sevenths",
+            "tests/test_mesh.py::test_moved_vertex_breaks_conformity")),
     Mutant("constraint-rows-skip-faces-of-two-elements", "mesh_assembly.py",
            "        if len(adj) < 2:\n            continue\n        e0, psi0 = adj[0]\n        base",
            "        if len(adj) < 3:\n            continue\n        e0, psi0 = adj[0]\n        base",
@@ -138,6 +157,11 @@ CATALOGUE = (
            "    except OSError as exc:\n        raise ValueError(f\"cannot write {path}",
            "    except ZeroDivisionError as exc:\n        raise ValueError(f\"cannot write {path}",
            ("tests/test_cli.py::test_unwritable_out_exits_2",)),
+    Mutant("mesh-accepts-float-and-bool-coordinates", "mesh_assembly.py",
+           "isinstance(c, (str, Fraction))",
+           "isinstance(c, (str, Fraction, float, bool))",
+           ("tests/test_mesh.py::test_mesh_refuses_float_and_bool_coordinates",
+            "tests/test_cli.py::test_project_mesh_with_bad_coordinate_exits_2")),
     Mutant("mesh-of-dimension-0-accepted", "mesh_assembly.py",
            '            raise MeshError(f"mesh dimension must be at least 1, got {n}")',
            "            pass",

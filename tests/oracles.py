@@ -31,6 +31,12 @@ The conformity oracle checks every pair of simplices, in `combinations`
 order, by enumerating the vertices of their intersection polytope in
 integer arithmetic (Cramer's rule on coordinates scaled to integers); it
 imports nothing from the mesh code.
+
+The substitution oracle is the Fraction substitution the package used
+before it moved charts to one integer scale: each power's image is a
+Polynomial with rational coefficients, built from the nearest cached
+lower power, and the pullback oracle multiplies its results by rational
+minors from cofactor expansion.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import lcm
 
-from feforms.combinatorics import merge
+from feforms.combinatorics import enumerate_sigma, merge
 from feforms.forms import (
     AffineEmbedding,
     FaceMoments,
@@ -48,7 +54,7 @@ from feforms.forms import (
     pullback,
     std_simplex_vertices,
 )
-from feforms.polynomial import Polynomial
+from feforms.polynomial import Polynomial, affine_polynomial, sum_terms
 
 
 def evaluate(p: Polynomial, point) -> Fraction:
@@ -351,3 +357,51 @@ def pullback_dof_matrix(forms, dofset) -> list[list[int]]:
             m, _ = moments.scaled(phi.weight, keys)
             rows.append([sum([c * m.get(key, 0) for key, c in tr]) for tr in traces])
     return rows
+
+
+def fraction_substitute(p: Polynomial, images: list, m: int,
+                        power_cache: dict | None = None) -> Polynomial:
+    """Substitute the Polynomial images[i] (in m variables) for x^(i+1) in
+    p, on Fraction coefficients: each power's image is built in a loop
+    from the nearest cached lower power, caching each power on the way."""
+    if power_cache is None:
+        power_cache = {}
+    dead = [i for i, im in enumerate(images) if im.is_zero]
+    return Polynomial._of(m, sum_terms(
+        (b, c * v) for alpha, c in p.terms.items()
+        if not (dead and any(alpha[i] for i in dead))
+        for b, v in _fraction_power_image(alpha, images, m, power_cache).terms.items()))
+
+
+def _fraction_power_image(alpha, images, m: int, power_cache: dict) -> Polynomial:
+    steps = []
+    beta = alpha
+    while beta not in power_cache:
+        i = max((i for i, e in enumerate(beta) if e), default=None)
+        if i is None:
+            power_cache[beta] = Polynomial.constant(m, 1)
+            break
+        steps.append((beta, i))
+        beta = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+    image = power_cache[beta]
+    for beta, i in reversed(steps):
+        image = power_cache[beta] = image * images[i]
+    return image
+
+
+def fraction_pullback(u: PolyForm, matrix, offset) -> PolyForm:
+    """The pullback of u through t -> offset + matrix @ t: each component
+    substituted by `fraction_substitute`, times the rational (sigma, tau)
+    minor of the matrix for every tau."""
+    m = len(matrix[0])
+    images = [affine_polynomial(m, row, c) for row, c in zip(matrix, offset)]
+    total = PolyForm.zero(m, u.k)
+    if u.k > m:
+        return total
+    for sigma, a in u.components.items():
+        a_t = fraction_substitute(a, images, m)
+        for tau in enumerate_sigma(u.k, m):
+            det = _det([[matrix[s - 1][t - 1] for t in tau] for s in sigma]) if sigma else 1
+            if det:
+                total = total + PolyForm(m, u.k, {tau: a_t * det})
+    return total

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feforms import forms
 from feforms.combinatorics import enumerate_sigma, merge, multiindices
 from feforms.dofs import weight_basis
 from feforms.forms import (
@@ -24,10 +25,12 @@ from feforms.forms import (
     std_simplex_vertices,
     wedge,
 )
-from feforms.polynomial import DegenerateSimplexError, Polynomial
+from feforms.polynomial import DegenerateSimplexError, Polynomial, affine_polynomial
 from oracles import (
     compose,
     evaluate,
+    fraction_pullback,
+    fraction_substitute,
     iterated_box_integral,
     iterated_simplex_integral,
     polynomial_exterior_derivative,
@@ -463,6 +466,57 @@ def random_forms(draw, n, k, max_degree=3):
     return validated(n, k, draw(raw_terms(n, k, max_degree)))
 
 
+@st.composite
+def rational_charts(draw):
+    """(matrix, offset) of an affine map from Q^m into Q^n with rational
+    entries of either sign, one image row zero in about half the draws."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    matrix = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    offset = draw(st.lists(entries, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        matrix[i], offset[i] = [0] * m, 0
+    return matrix, offset
+
+
+def assert_integer_paths_match_the_fraction_oracles(matrix, offset, polys, forms):
+    chart = AffineEmbedding(matrix, offset)
+    m = len(matrix[0])
+    images = [affine_polynomial(m, row, c) for row, c in zip(matrix, offset)]
+    for p in polys:  # one chart, so later polynomials read cached powers
+        got = chart.substitute(p)
+        assert got == fraction_substitute(p, images, m)
+        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+    for u in forms:
+        got = pullback(u, chart)
+        assert got == fraction_pullback(u, matrix, offset)
+        assert_invariant(got)
+
+
+@settings(max_examples=50, deadline=None)
+@given(chart=rational_charts(), data=st.data())
+def test_integer_substitution_and_pullback_match_the_fraction_oracles(chart, data):
+    n = len(chart[1])
+    polys = [data.draw(random_forms(n, 0, 4)).component(()) for _ in range(2)]
+    forms = [data.draw(random_forms(n, k)) for k in range(n + 1)]
+    assert_integer_paths_match_the_fraction_oracles(*chart, polys, forms)
+
+
+def test_integer_substitution_on_a_fixed_chart_of_every_kind_of_entry():
+    """Non-integer matrix and offset entries of both signs and a zero
+    image row, for every k."""
+    matrix = [[Fraction(1, 2), Fraction(-2, 3)], [0, 0], [3, Fraction(1, 5)]]
+    offset = [Fraction(-1, 3), 0, Fraction(5, 2)]
+    u = form_from_string("2/3 x1^3 x3^2 + -1/2 x2 x3 + 1/1 x1", 3, 0)
+    polys = [u.component(()), Polynomial.monomial(3, (4, 0, 5), Fraction(7, 3))]
+    forms = [u, exterior_derivative(u),
+             form_from_string("1/1 x1 x3 dx1^dx3 + -3/4 x3^2 dx2^dx3", 3, 2),
+             form_from_string("5/6 x1^2 dx1^dx2^dx3", 3, 3)]
+    assert [f.k for f in forms] == [0, 1, 2, 3]
+    assert_integer_paths_match_the_fraction_oracles(matrix, offset, polys, forms)
+
+
 def reference_moment(kind, tr, q):
     integrate = integrate_std_simplex if kind == "simplex" else integrate_unit_box
     return integrate(wedge(tr, q))
@@ -678,14 +732,14 @@ def test_coordinate_traces_match_the_substitution_path(data, n, kind):
     k = data.draw(st.integers(0, n))
     u = data.draw(random_forms(n, k))
     substitutions = []
-    substitute = AffineEmbedding.substitute
+    substitute = forms.substitute
     for face in reference_faces(kind, n):
         # box faces, vertices and the simplex faces through the origin reindex
         coordinate = kind == "box" or face.label[0] == 0 or face.dim == 0
         assert (face.embedding._coords is not None) == coordinate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(AffineEmbedding, "substitute",
-                       lambda self, p: substitutions.append(p) or substitute(self, p))
+            mp.setattr(forms, "substitute",
+                       lambda p, *rest: substitutions.append(p) or substitute(p, *rest))
             substitutions.clear()
             tr = pullback(u, face.embedding)
         assert not (coordinate and substitutions)
@@ -704,9 +758,9 @@ def test_other_charts_pull_back_by_substitution(matrix, offset, monkeypatch):
     chart = AffineEmbedding(matrix, offset)
     assert chart._coords is None
     calls = []
-    substitute = AffineEmbedding.substitute
-    monkeypatch.setattr(AffineEmbedding, "substitute",
-                        lambda self, p: calls.append(p) or substitute(self, p))
+    substitute = forms.substitute
+    monkeypatch.setattr(forms, "substitute",
+                        lambda p, *rest: calls.append(p) or substitute(p, *rest))
     u = form_from_string("1/1 x1 x2^2 dx1 + 3/2 x2 dx2", 2, 1)
     pullback(u, chart)
     assert calls

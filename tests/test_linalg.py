@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -39,7 +40,8 @@ def test_solve_and_lu():
     x = linalg.solve(a, [Fraction(5), Fraction(10)])
     assert x == [Fraction(1), Fraction(3)]
     lu = linalg.LUFactor(a)
-    assert lu.solve([Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
+    assert lu.solve([Fraction(0), Fraction(0)]) == ([0, 0], 1)
+    assert lu.solve([Fraction(5, 2), 5]) == ([1, 3], 2)
 
 
 @pytest.mark.parametrize("b", [[3, 2, 99], [3], []])
@@ -69,8 +71,10 @@ def test_lu_solve_is_exact_or_refuses_a_singular_matrix():
                 row[j] = sum(c * row[i] for i, c in enumerate(mix))
         b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         if linalg.rank(a) == n:
-            x = linalg.LUFactor(a).solve(b)
-            assert all(type(v) is Fraction for v in x)
+            t, s = linalg.LUFactor(a).solve(b)
+            assert all(type(v) is int for v in t) and type(s) is int and s > 0
+            assert gcd(*t, s) == 1
+            x = [Fraction(v, s) for v in t]
             assert [sum(r[j] * x[j] for j in range(n)) for r in a] == b
             solved += 1
         else:

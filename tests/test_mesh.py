@@ -11,7 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from feforms import complexes, dofs, linalg, verify
 from feforms import mesh_assembly as ma
-from feforms.forms import PolyForm, exterior_derivative, form_to_string
+from feforms.forms import (
+    FaceMoments,
+    PolyForm,
+    exterior_derivative,
+    form_from_string,
+    form_to_string,
+    pullback,
+)
 from feforms.polynomial import Polynomial, barycentric_planes
 from feforms.spaces import make_spec, monomial_forms
 from feforms.dofs import reference_faces
@@ -357,6 +364,30 @@ def test_moved_vertex_breaks_conformity(n, offset):
     assert verdict == conformity_verdict(vertices, elements)
 
 
+@pytest.mark.parametrize("m", [3, 7])
+def test_integer_validation_agrees_with_the_oracle_on_thirds_and_sevenths(m):
+    """A Kuhn grid of spacing 1/m conforms; with an interior vertex moved by
+    (1, -1)/(3m), which stays inside its star, and by 4(1, -1)/(3m), which
+    does not, each verdict is the oracle's."""
+    vertices, elements = kuhn_grid(2, m, random.Random(m))
+    assert mesh_verdict(2, vertices, elements) == "conforming"
+    centre = min(range(len(vertices)),
+                 key=lambda i: sum(abs(c - Fraction(1, 2)) for c in vertices[i]))
+    verdicts = []
+    for step in (Fraction(1, 3 * m), Fraction(4, 3 * m)):
+        moved = list(vertices)
+        moved[centre] = (vertices[centre][0] + step, vertices[centre][1] - step)
+        verdicts.append(mesh_verdict(2, moved, elements))
+        assert verdicts[-1] == conformity_verdict(moved, elements)
+    assert verdicts[0] == "conforming" and verdicts[1][0] == "outside"
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True])
+def test_mesh_refuses_float_and_bool_coordinates(bad):
+    with pytest.raises(ma.MeshError, match="not a p/q string"):
+        ma.Mesh("simplicial", 2, [(0, 0), (bad, 0), (0, 1)], [(0, 1, 2)])
+
+
 def assert_facet_certificate_sound(vertices, elements):
     int_planes = integer_simplices(vertices, elements)
     assume(int_planes is not None)
@@ -449,10 +480,10 @@ def test_element_factors_are_shared_by_local_pattern():
     values = space.dof_values(space.as_pieces(u))
     for ei, local in enumerate(space.element_dofs):
         fresh = ma.linalg.LUFactor([space._dof_row(dof, psi) for dof, psi in local])
-        coeffs = fresh.solve([values[dof.index] for dof, _ in local])
+        t, s = fresh.solve([values[dof.index] for dof, _ in local])
         piece = PolyForm.zero(2, 1)
-        for c, b in zip(coeffs, space.basis.forms):
-            piece = piece + c * b
+        for c, b in zip(t, space.basis.forms):
+            piece = piece + Fraction(c, s) * b
         assert projected[ei] == piece
     patterns = {tuple((form_to_string(dof.weight), psi.matrix, psi.offset)
                       for dof, psi in local)
@@ -478,6 +509,31 @@ def test_from_dof_values_inverts_dof_values(name, family, r, k):
     for u in monomial_forms(mesh.n, k, r + 1):
         values = space.dof_values(space.as_pieces(u))
         assert space.from_dof_values(values) == space.project(u)
+
+
+@pytest.mark.parametrize("family, r, k", [("Pminus", 2, 1), ("P", 3, 0), ("Pminus", 1, 2)])
+def test_scaled_moments_and_solves_match_the_one_weight_path(family, r, k):
+    """On a grid of spacing 1/3: `dof_values` equals one `FaceMoments`
+    call per DOF, and `project` equals a Fraction solve per element of the
+    rows those calls give."""
+    mesh = ma.Mesh("simplicial", 2, *kuhn_grid(2, 3, random.Random(11)))
+    space = ma.assemble(mesh, family, r, k)
+    moments = FaceMoments("simplex")
+    u = (PolyForm.monomial(2, (3, 1), (), Fraction(-2, 7)) + PolyForm.monomial(2, (0, 2), (), 5)
+         if k == 0 else form_from_string("-2/7 x1^3 x2 dx1 + 5/3 x2^2 dx2", 2, 1))
+    u = exterior_derivative(u) if k == 2 else u
+    pieces = space.as_pieces(u)
+    values = [moments(pullback(pieces[dof.face.adjacent[0][0]], dof.face.adjacent[0][1]),
+                      dof.weight) for dof in space.dofs]
+    assert space.dof_values(pieces) == values
+    projected = space.project(u)
+    for ei, local in enumerate(space.element_dofs):
+        rows = [[moments(pullback(b, psi), dof.weight) for b in space.basis.forms]
+                for dof, psi in local]
+        assert [space._dof_row(dof, psi) for dof, psi in local] == rows
+        coeffs = linalg.solve(rows, [values[dof.index] for dof, _ in local])
+        assert projected[ei] == sum((c * b for c, b in zip(coeffs, space.basis.forms)),
+                                    PolyForm.zero(2, k))
 
 
 def test_a_unit_vector_solves_only_next_to_its_face(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -160,6 +161,16 @@ def test_compose_affine():
     high = Polynomial.monomial(1, (5000,))
     assert (AffineEmbedding([[2]], [0]).substitute(high)
             == Polynomial.monomial(1, (5000,), 2 ** 5000))
+
+
+def test_a_lone_high_power_caches_logarithmically_many_powers():
+    # x1 -> 1 - t2 on the second triangle of the unit square: not a
+    # coordinate chart, so x1^200 is substituted, by halving its exponent
+    chart = AffineEmbedding([[0, -1], [1, 1]], [1, 0])
+    assert chart._coords is None
+    image = chart.substitute(Polynomial.monomial(2, (200, 0)))
+    assert image.terms == {(0, j): (-1) ** j * comb(200, j) for j in range(201)}
+    assert len(chart._powers) <= 2 * (200).bit_length() + 2
 
 
 def test_antiderivative_inverts_partial():
