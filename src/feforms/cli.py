@@ -140,7 +140,7 @@ def run(argv=None) -> int:
 
     if args.verb == "table1":
         certs = tables.table1_certificates()
-        sys.stdout.write(tables.render_tables())
+        sys.stdout.write(tables.render_tables(certs))
         return _certs_exit(certs, args)
 
     if args.verb == "dof-counts":

@@ -162,6 +162,13 @@ def check_exactness(kind: str, n: int, r: int) -> Certificate:
     return Certificate("exactness", params, _verdict(ok), witness)
 
 
+def _homogeneous_basis(r: int, k: int, n: int):
+    """basis_H(r, k, n), refused when empty: a check over it could not fail."""
+    if not (basis := basis_H(r, k, n)):
+        raise ValueError(f"no homogeneous degree-{r} {k}-forms on R^{n} to check")
+    return basis
+
+
 def check_homotopy(n: int, r: int, k: int) -> Certificate:
     """(contract after d) + (d after contract) = (k + r) id on homogeneous forms.
 
@@ -170,7 +177,7 @@ def check_homotopy(n: int, r: int, k: int) -> Certificate:
     """
     if r < 0 or not 0 <= k <= n:
         raise ValueError(f"need r >= 0 and 0 <= k <= n, got n={n}, r={r}, k={k}")
-    basis = basis_H(r, k, n)
+    basis = _homogeneous_basis(r, k, n)
     factor = r + k
     failures = []
     for w in basis:
@@ -187,7 +194,7 @@ def check_direct_sum(n: int, r: int, k: int) -> Certificate:
     """Homogeneous k-forms split as contraction image plus derivative image."""
     if r < 1:
         raise ValueError("the direct sum needs r >= 1")
-    dim_h = len(basis_H(r, k, n))
+    dim_h = len(_homogeneous_basis(r, k, n))
     kappa_part = [koszul(f) for f in basis_H(r - 1, k + 1, n)]
     d_part = ([exterior_derivative(f) for f in basis_H(r + 1, k - 1, n)]
               if k >= 1 else [])

@@ -13,10 +13,11 @@ The four families (reference simplex conv{0, e_1, ..., e_n}, reference box
 The graded pieces used in the constructions are plain tuples of forms, not
 spaces: H (homogeneous forms), Hrl (homogeneous forms of linear degree >= l)
 and J (sums of contractions of the Hrl pieces).  The P and Qminus bases are
-independent because they are distinct monomial forms.  The Pminus, J and S
-bases span sums of spaces: their generators go in a fixed order to an exact
-echelon, which keeps those that enlarge the span, so these bases are
-rank-certified at construction.  Construction is memoized per spec.
+distinct monomial forms.  Pminus and S add one generator stream each to
+P_(r-1), resp. P_r; every generator has only terms of higher degree, so an
+exact echelon fed the stream alone keeps those that enlarge the span, and
+the bases are rank-certified at construction.  Bases are memoized per
+spec; `count` ranks a stream and keeps nothing.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def select_independent(forms) -> list[PolyForm]:
 
 
 def span_rank(forms) -> int:
-    return len(select_independent(forms))
+    ech = linalg.Echelon()
+    return sum(ech.add(f.terms) for f in forms)
 
 
 def spans_equal(forms_a, forms_b) -> bool:
@@ -143,7 +145,40 @@ def monomial_forms(n: int, k: int, max_degree: int) -> list[PolyForm]:
             for alpha in multiindices(n, max_degree)]
 
 
-# -- family constructors (memoized) -----------------------------------------
+def monomial_count(n: int, k: int, max_degree: int) -> int:
+    """len(monomial_forms(n, k, max_degree)) for valid arguments."""
+    return len(enumerate_sigma(k, n)) * len(multiindices(n, max_degree))
+
+
+# -- generator streams and family constructors (memoized) -------------------
+
+
+def _homogeneous_monomials(r: int, l: int, k: int, n: int):
+    """Homogeneous degree-r monomial k-forms of linear degree >= l, (sigma,
+    alpha) lex; none when r < 0 or k > n."""
+    for sigma in enumerate_sigma(k, n) if k <= n else ():
+        for alpha in multiindices_exact(n, r):
+            if ldeg(alpha, sigma) >= l:
+                yield _monomial_form(n, alpha, sigma)
+
+
+def _pminus_generators(r: int, k: int, n: int):
+    """Contractions of the homogeneous degree-(r-1) monomial (k+1)-forms."""
+    return map(koszul, _homogeneous_monomials(r - 1, 0, k + 1, n))
+
+
+def _j_generators(r: int, k: int, n: int):
+    """Contractions of the (r+l-1, l) homogeneous (k+1)-form pieces, l >= 1;
+    a monomial (k+1)-form in n variables has linear degree <= n - k - 1."""
+    for l in range(1, n - k):
+        yield from map(koszul, _homogeneous_monomials(r + l - 1, l, k + 1, n))
+
+
+def _s_generators(r: int, k: int, n: int):
+    """The J_r generators, then d of the J_(r+1) generators."""
+    yield from _j_generators(r, k, n)
+    if k >= 1:
+        yield from map(exterior_derivative, _j_generators(r + 1, k - 1, n))
 
 
 @lru_cache(maxsize=None)
@@ -159,49 +194,27 @@ def basis_H(r: int, k: int, n: int) -> tuple[PolyForm, ...]:
 
 @lru_cache(maxsize=None)
 def basis_Hrl(r: int, l: int, k: int, n: int) -> tuple[PolyForm, ...]:
-    """Homogeneous degree-r monomial k-forms of linear degree >= l; none
-    when r < 0 or k > n."""
-    if k > n:
-        return ()
-    return tuple(_monomial_form(n, alpha, sigma)
-                 for sigma in enumerate_sigma(k, n)
-                 for alpha in multiindices_exact(n, r)
-                 if ldeg(alpha, sigma) >= l)
+    """Homogeneous degree-r monomial k-forms of linear degree >= l."""
+    return tuple(_homogeneous_monomials(r, l, k, n))
 
 
 @lru_cache(maxsize=None)
 def basis_Pminus(r: int, k: int, n: int) -> SpaceBasis:
     """Basis of P_(r-1) k-forms plus contractions of homogeneous (k+1)-forms."""
-    spec = SpaceSpec("Pminus", n, r, k)
-    gens = list(basis_P(r - 1, k, n).forms)
-    gens += [koszul(f) for f in basis_H(r - 1, k + 1, n)]
-    return SpaceBasis(spec, select_independent(gens))
+    return SpaceBasis(SpaceSpec("Pminus", n, r, k), [
+        *basis_P(r - 1, k, n).forms, *select_independent(_pminus_generators(r, k, n))])
 
 
 @lru_cache(maxsize=None)
 def basis_J(r: int, k: int, n: int) -> tuple[PolyForm, ...]:
-    """Sum over l >= 1 of contractions of the (r+l-1, l) homogeneous pieces.
-
-    A monomial (k+1)-form in n variables has linear degree at most
-    n - k - 1, so the sum is finite; emptiness of each piece is detected by
-    enumeration.
-    """
-    gens: list[PolyForm] = []
-    l = 1
-    while piece := basis_Hrl(r + l - 1, l, k + 1, n):
-        gens += [koszul(f) for f in piece]
-        l += 1
-    return tuple(select_independent(gens))
+    """The generators of J_r that enlarge the span, in stream order."""
+    return tuple(select_independent(_j_generators(r, k, n)))
 
 
 @lru_cache(maxsize=None)
 def basis_S(r: int, k: int, n: int) -> SpaceBasis:
-    spec = SpaceSpec("S", n, r, k)
-    gens = list(basis_P(r, k, n).forms)
-    gens += basis_J(r, k, n)
-    if k >= 1:
-        gens += [exterior_derivative(f) for f in basis_J(r + 1, k - 1, n)]
-    return SpaceBasis(spec, select_independent(gens))
+    return SpaceBasis(SpaceSpec("S", n, r, k), [
+        *basis_P(r, k, n).forms, *select_independent(_s_generators(r, k, n))])
 
 
 def qminus_caps(r: int, k: int, n: int):
@@ -250,11 +263,24 @@ def dimension_Qminus(n: int, r: int, k: int) -> int:
     return comb(n, k) * r ** k * (r + 1) ** (n - k)
 
 
+def count(spec: SpaceSpec) -> int:
+    """Dimension by counting, with no basis built: the size of the monomial
+    enumeration plus the rank of the family's generator stream."""
+    n, r, k = spec.n, spec.r, spec.k
+    if spec.family == "Qminus":
+        return qminus_count(r, k, n)
+    if spec.family == "P":
+        return monomial_count(n, k, r)
+    if spec.family == "Pminus":
+        return monomial_count(n, k, r - 1) + span_rank(_pminus_generators(r, k, n))
+    return monomial_count(n, k, r) + span_rank(_s_generators(r, k, n))
+
+
 def dimension(spec: SpaceSpec) -> int:
-    """Dimension by closed formula where one exists, else by basis rank."""
+    """Dimension by closed formula where one exists, else by `count`."""
     formula = {"P": dimension_P, "Pminus": dimension_Pminus,
                "Qminus": dimension_Qminus}.get(spec.family)
-    return formula(spec.n, spec.r, spec.k) if formula else basis_for(spec).dim
+    return formula(spec.n, spec.r, spec.k) if formula else count(spec)
 
 
 def membership(u: PolyForm, spec: SpaceSpec) -> bool:

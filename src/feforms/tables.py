@@ -1,10 +1,10 @@
 """Reference dimension tables for the box families and their reproduction.
 
 The expected values ship as an embedded fixture; `table1_certificates`
-recomputes every entry (closed formula for the tensor-product family, rank
-of the constructed basis for the serendipity-type family) and records any
-mismatch, including a tensor-product formula that disagrees with the size
-of its basis enumeration, counted without building the basis.
+recomputes every entry (closed formula for the tensor-product family, a
+count for the serendipity-type family) and records any mismatch, including
+a tensor-product formula that disagrees with the size of its basis
+enumeration.  No entry builds a basis (see `spaces.count`).
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ S_TABLE = {
 }
 
 
-def computed_entry(family: str, n: int, r: int, k: int) -> int:
-    return spaces.dimension(spaces.SpaceSpec(family, n, r, k))
-
-
 def table1_certificates() -> list[Certificate]:
     certs = []
     for family, table in (("Qminus", QMINUS_TABLE), ("S", S_TABLE)):
@@ -62,9 +58,9 @@ def table1_certificates() -> list[Certificate]:
         checked = 0
         for (n, k), row in sorted(table.items()):
             for r, expected in zip(R_RANGE, row):
-                got = computed_entry(family, n, r, k)
+                got = spaces.dimension(spaces.SpaceSpec(family, n, r, k))
                 # the Qminus formula is checked against the size of its basis
-                # enumeration, counted without building the basis
+                # enumeration; the S entry is already a count
                 rank = spaces.qminus_count(r, k, n) if family == "Qminus" else got
                 checked += 1
                 if got != expected or got != rank:
@@ -78,17 +74,20 @@ def table1_certificates() -> list[Certificate]:
     return certs
 
 
-def render_tables() -> str:
-    """Both tables side by side as text, one block per dimension."""
+def render_tables(certs) -> str:
+    """Both tables as text, one block per dimension, as the certificates
+    computed them: an entry differs from the fixture only at a mismatch."""
     lines = []
     header = "k | " + "  ".join(f"r={r}" for r in R_RANGE)
-    for family, table in (("Qminus", QMINUS_TABLE), ("S", S_TABLE)):
+    for cert, (family, table) in zip(certs, (("Qminus", QMINUS_TABLE), ("S", S_TABLE))):
+        computed = {(m["n"], m["k"], m["r"]): m["computed"]
+                    for m in cert.witness["mismatches"]}
         lines.append(f"dim {family} forms on the n-box")
         for n in range(1, 5):
             lines.append(f"  n={n}")
             lines.append("  " + header)
             for k in range(n + 1):
-                row = [computed_entry(family, n, r, k) for r in R_RANGE]
+                row = [computed.get((n, k, r), v) for r, v in zip(R_RANGE, table[n, k])]
                 lines.append(f"  {k} | " + "  ".join(f"{v}" for v in row))
         lines.append("")
     return "\n".join(lines)

@@ -24,7 +24,7 @@ def _dims_certificates() -> list[Certificate]:
                 for k in range(n + 1):
                     spec = make_spec(family, n, r, k)
                     formula = spaces.dimension(spec)
-                    rank = spaces.basis_for(spec).dim
+                    rank = spaces.count(spec)
                     checked += 1
                     if formula != rank:
                         mismatches.append({"n": n, "r": r, "k": k,

@@ -109,10 +109,28 @@ CATALOGUE = (
            '"S": Family("box", 1, 0),',
            ("tests/test_complexes.py::test_chain_degrees",)),
     Mutant("table-entry-off-by-one-for-s", "tables.py",
-           "    return spaces.dimension(spaces.SpaceSpec(family, n, r, k))\n",
-           "    return spaces.dimension(spaces.SpaceSpec(family, n, r, k)) + (family == \"S\")\n",
+           "got = spaces.dimension(spaces.SpaceSpec(family, n, r, k))\n",
+           "got = spaces.dimension(spaces.SpaceSpec(family, n, r, k)) + (family == \"S\")\n",
            ("tests/test_acceptance.py::test_criterion_1_table1_reproduction",
             "tests/test_verify.py::test_table1_certificates_pass")),
+    Mutant("s-stream-without-d-j", "spaces.py",
+           "    if k >= 1:\n        yield from map(exterior_derivative, _j_generators(",
+           "    if False:\n        yield from map(exterior_derivative, _j_generators(",
+           ("tests/test_acceptance.py::test_criterion_1_table1_reproduction",
+            "tests/test_verify.py::test_table1_certificates_pass",
+            "tests/test_spaces.py::test_bases_from_the_streams_match_the_selection_over_all_pieces")),
+    Mutant("pminus-count-skips-the-p-part", "spaces.py",
+           "return monomial_count(n, k, r - 1) + span_rank(",
+           "return span_rank(",
+           ("tests/test_verify.py::test_dims_certificates_pass",
+            "tests/test_verify.py::test_dims_Pminus_certificate_fails_on_dropped_generator",
+            "tests/test_spaces.py::test_count_matches_the_basis_size")),
+    Mutant("p-count-off-by-one", "spaces.py",
+           "        return monomial_count(n, k, r)\n",
+           "        return monomial_count(n, k, r) + 1\n",
+           ("tests/test_verify.py::test_dims_certificates_pass",
+            "tests/test_verify.py::test_dims_P_certificate_fails_on_dropped_basis_form",
+            "tests/test_spaces.py::test_count_matches_the_basis_size")),
     # -- exact linear algebra
     Mutant("mod-p-certifies-a-zero-pivot", "linalg.py",
            "        if not piv:\n            return False\n",
@@ -148,6 +166,12 @@ CATALOGUE = (
            "    points = [p[::-1] for p in product(*(range(m + 1) for m in reversed(shape)))]",
            "    points = list(product(*(range(m + 1) for m in shape)))",
            ("tests/test_mesh.py::test_sample_mesh_files_match_the_builders",)),
+    # -- homogeneous identities
+    Mutant("homotopy-accepts-an-empty-space", "complexes.py",
+           "    if not (basis := basis_H(r, k, n)):\n",
+           "    if not (basis := basis_H(r, k, n)) and False:\n",
+           ("tests/test_complexes.py::test_homotopy_and_direct_sum_refuse_an_empty_homogeneous_space",
+            "tests/test_cli.py::test_homotopy_on_an_empty_homogeneous_space_exits_2")),
     # -- exit-2 boundaries of the CLI
     Mutant("project-lets-a-non-utf8-mesh-escape", "cli.py",
            "        except (OSError, ValueError) as exc:",

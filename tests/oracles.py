@@ -32,6 +32,11 @@ order, by enumerating the vertices of their intersection polytope in
 integer arithmetic (Cramer's rule on coordinates scaled to integers); it
 imports nothing from the mesh code.
 
+The basis oracles are the Pminus and S constructions the package used
+before its generator streams: the full polynomial monomials, the
+contractions and the J pieces (found by stopping at the first empty piece)
+all go through one greedy selection, and S reads d of the J_(r+1) basis.
+
 The substitution oracle is the Fraction substitution the package used
 before it moved charts to one integer scale: each power's image is a
 Polynomial with rational coefficients, built from the nearest cached
@@ -51,10 +56,13 @@ from feforms.forms import (
     FaceMoments,
     PolyForm,
     box_face_chart,
+    exterior_derivative,
+    koszul,
     pullback,
     std_simplex_vertices,
 )
 from feforms.polynomial import Polynomial, affine_polynomial, sum_terms
+from feforms.spaces import basis_H, basis_Hrl, basis_P, select_independent
 
 
 def evaluate(p: Polynomial, point) -> Fraction:
@@ -405,3 +413,27 @@ def fraction_pullback(u: PolyForm, matrix, offset) -> PolyForm:
             if det:
                 total = total + PolyForm(m, u.k, {tau: a_t * det})
     return total
+
+
+def selected_basis_Pminus(r: int, k: int, n: int) -> list[PolyForm]:
+    """Greedy selection over P_(r-1) and the contractions of H_(r-1)."""
+    gens = [*basis_P(r - 1, k, n).forms, *map(koszul, basis_H(r - 1, k + 1, n))]
+    return select_independent(gens)
+
+
+def selected_basis_J(r: int, k: int, n: int) -> list[PolyForm]:
+    """Greedy selection over the contracted (r+l-1, l) pieces, l = 1, 2, ...
+    up to the first empty one."""
+    gens, l = [], 1
+    while piece := basis_Hrl(r + l - 1, l, k + 1, n):
+        gens += map(koszul, piece)
+        l += 1
+    return select_independent(gens)
+
+
+def selected_basis_S(r: int, k: int, n: int) -> list[PolyForm]:
+    """Greedy selection over P_r, the J_r basis and d of the J_(r+1) basis."""
+    gens = [*basis_P(r, k, n).forms, *selected_basis_J(r, k, n)]
+    if k >= 1:
+        gens += map(exterior_derivative, selected_basis_J(r + 1, k - 1, n))
+    return select_independent(gens)

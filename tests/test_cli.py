@@ -203,6 +203,14 @@ def test_homotopy_out_of_range_exits_2(monkeypatch):
                                         "--k", "5"]) == 2
 
 
+def test_homotopy_on_an_empty_homogeneous_space_exits_2(monkeypatch, capsys):
+    # no degree-3 forms in 0 variables: the identity would hold on nothing
+    assert main_exit_code(monkeypatch, ["homotopy", "--n", "0", "--r", "3",
+                                        "--k", "0"]) == 2
+    assert "no homogeneous degree-3 0-forms on R^0" in capsys.readouterr().err
+    assert run(["homotopy", "--n", "0", "--r", "0", "--k", "0"]) == 0
+
+
 def test_format_only_where_honoured(capsys):
     for argv in (["describe", "--family", "P", "--n", "2", "--r", "1", "--k", "0",
                   "--format", "tsv"],

@@ -109,6 +109,15 @@ def test_homotopy_rejects_out_of_range(n, r, k):
         check_homotopy(n, r, k)
 
 
+@pytest.mark.parametrize("check, args", [
+    (check_homotopy, (0, 3, 0)), (check_direct_sum, (0, 1, 0)),
+    (check_direct_sum, (1, 1, 2))])
+def test_homotopy_and_direct_sum_refuse_an_empty_homogeneous_space(check, args):
+    # with nothing to check, both certificates would pass vacuously
+    with pytest.raises(ValueError, match="no homogeneous degree"):
+        check(*args)
+
+
 def test_complex_certificate_fails_on_wrong_degree_target(monkeypatch):
     from feforms import complexes
     from feforms.spaces import make_spec

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from feforms import spaces
 from feforms.forms import (
     AffineEmbedding,
     PolyForm,
@@ -13,6 +14,7 @@ from feforms.forms import (
 )
 from feforms.polynomial import Polynomial
 from feforms.spaces import (
+    FAMILIES,
     SpaceSpec,
     basis_H,
     basis_Hrl,
@@ -22,6 +24,7 @@ from feforms.spaces import (
     basis_Qminus,
     basis_S,
     basis_for,
+    count,
     describe,
     dimension,
     dimension_P,
@@ -35,6 +38,7 @@ from feforms.spaces import (
     span_rank,
     spans_equal,
 )
+from oracles import selected_basis_J, selected_basis_Pminus, selected_basis_S
 
 
 def test_basis_P_sizes():
@@ -147,6 +151,37 @@ def test_bases_and_their_d_and_koszul_images_hold_int_coefficients():
                 for f in forms:
                     for g in (f, exterior_derivative(f), koszul(f)):
                         assert all(type(c) is int for c in g.terms.values()), g
+
+
+def test_bases_from_the_streams_match_the_selection_over_all_pieces():
+    """The P part joins the basis unselected and J is not selected before S
+    reads it, yet each basis holds the same forms in the same order."""
+    for n in range(1, 5):
+        for r in range(1, 6):
+            for k in range(n + 1):
+                assert basis_S(r, k, n).forms == tuple(selected_basis_S(r, k, n))
+                assert basis_Pminus(r, k, n).forms == tuple(selected_basis_Pminus(r, k, n))
+                assert basis_J(r, k, n) == tuple(selected_basis_J(r, k, n))
+
+
+def test_stream_generators_lie_above_the_full_polynomial_part():
+    """Every term of an S generator has degree above r, and of a Pminus
+    generator above r - 1, so no generator meets the P monomials."""
+    for n in range(1, 5):
+        for r in range(1, 7):
+            for k in range(n + 1):
+                for low, stream in ((r, spaces._s_generators), (r - 1, spaces._pminus_generators)):
+                    for f in stream(r, k, n):
+                        assert all(sum(alpha) > low for _, alpha in f.terms), (n, r, k, f)
+
+
+def test_count_matches_the_basis_size():
+    for family in FAMILIES:
+        for n in range(1, 4):
+            for r in range(1, 4):
+                for k in range(n + 1):
+                    spec = make_spec(family, n, r, k)
+                    assert count(spec) == basis_for(spec).dim, spec
 
 
 def test_basis_Qminus_sizes():

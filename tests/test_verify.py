@@ -72,6 +72,12 @@ def test_table1_certificates_pass():
     assert all(c.passed for c in certs)
 
 
+def test_dims_certificates_pass():
+    certs = verify._dims_certificates()
+    assert [c.claim for c in certs] == ["dims:P", "dims:Pminus"]
+    assert all(c.passed and c.witness["entries_checked"] == 84 for c in certs)
+
+
 def test_table1_certificate_fails_on_perturbed_entry(monkeypatch):
     row = list(tables.QMINUS_TABLE[(2, 1)])
     row[2] += 1  # r = 3
@@ -127,15 +133,46 @@ def test_table1_Qminus_certificate_fails_on_dropped_sigma(monkeypatch):
         {"n": 3, "k": 1, "r": 2, "expected": 54, "computed": 54, "rank": 36}]
 
 
+CACHED_BASES = ("basis_P", "basis_Pminus", "basis_Qminus", "basis_S", "basis_J",
+                "basis_Hrl", "basis_H")
+
+
 def test_table1_builds_no_Qminus_basis():
-    spaces.basis_Qminus.cache_clear()
+    # nor any other basis: table1 and dims count, and keep nothing
+    for name in CACHED_BASES:
+        getattr(spaces, name).cache_clear()
     tables.table1_certificates()
-    assert spaces.basis_Qminus.cache_info().currsize == 0
+    verify._dims_certificates()
+    assert {name: getattr(spaces, name).cache_info().currsize
+            for name in CACHED_BASES} == dict.fromkeys(CACHED_BASES, 0)
+
+
+def test_table1_verb_counts_each_S_entry_once(monkeypatch, capsys):
+    count = spaces.count
+    counted = []
+    monkeypatch.setattr(spaces, "count",
+                        lambda spec: counted.append(spec.family) or count(spec))
+    assert run(["table1"]) == 0
+    assert "dim S forms on the n-box" in capsys.readouterr().out
+    assert counted == ["S"] * 84
+
+
+def first_generator_dropped(stream, at):
+    """A generator stream `(r, k, n) -> iterator` without its first generator
+    where (n, r, k) == at; at the specs used here it lies outside the span
+    of the others, so the rank falls by one."""
+    def gens(r, k, n):
+        it = stream(r, k, n)
+        if (n, r, k) == at:
+            next(it)
+        return it
+
+    return gens
 
 
 def test_table1_S_certificate_fails_on_dropped_basis_form(monkeypatch):
-    monkeypatch.setattr(spaces, "basis_S",
-                        basis_S_missing_last_form(lambda n, r, k: (n, r, k) == (3, 2, 1)))
+    monkeypatch.setattr(spaces, "_s_generators",
+                        first_generator_dropped(spaces._s_generators, (3, 2, 1)))
     qminus, s = tables.table1_certificates()
     assert qminus.passed and s.verdict == "fail"
     assert s.witness["mismatches"] == [
@@ -143,15 +180,10 @@ def test_table1_S_certificate_fails_on_dropped_basis_form(monkeypatch):
 
 
 def test_dims_P_certificate_fails_on_dropped_basis_form(monkeypatch):
-    basis_for = spaces.basis_for
-
-    def dropping(spec):
-        got = basis_for(spec)
-        if (spec.family, spec.n, spec.r, spec.k) == ("P", 3, 2, 1):
-            return spaces.SpaceBasis(spec, got.forms[:-1])
-        return got
-
-    monkeypatch.setattr(spaces, "basis_for", dropping)
+    # the P count at (3, 2, 1) misses one monomial
+    count = spaces.count
+    monkeypatch.setattr(spaces, "count", lambda spec: count(spec) - (
+        spec == spaces.make_spec("P", 3, 2, 1)))
     p, pminus = verify._dims_certificates()
     assert p.verdict == "fail" and pminus.passed
     assert p.witness["mismatches"] == [
@@ -167,6 +199,17 @@ def test_dims_Pminus_certificate_fails_on_perturbed_formula(monkeypatch):
     assert pminus.witness["mismatches"] == [
         {"n": 2, "r": 3, "k": 1, "formula": 16, "rank": 15}]
     assert pminus.witness["ratio_failures"] == [{"n": 2, "r": 3, "k": 1}]
+
+
+def test_dims_Pminus_certificate_fails_on_dropped_generator(monkeypatch):
+    monkeypatch.setattr(spaces, "_pminus_generators",
+                        first_generator_dropped(spaces._pminus_generators, (2, 3, 1)))
+    p, pminus = verify._dims_certificates()
+    assert p.passed and pminus.verdict == "fail"
+    # the formula and its ratio to dim P hold; the rank falls one short
+    assert pminus.witness["mismatches"] == [
+        {"n": 2, "r": 3, "k": 1, "formula": 15, "rank": 14}]
+    assert pminus.witness["ratio_failures"] == []
 
 
 def test_S_properties_certificate_fails_on_truncated_edge_space(monkeypatch):
