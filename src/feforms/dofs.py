@@ -132,22 +132,22 @@ def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
     Column j is scaled by the lcm of the coefficient denominators of form
     j; reference charts have 0/1 entries, so every trace is then integral.
     Row i is scaled by the lcm of the denominators of its weight's moments
-    over the nonzero trace monomials of its face.  Each distinct monomial
-    of the forms is traced once per face (`face_traces`), each weight reads
-    only the moments that can be nonzero, and the moment tables live for
-    this call only.
+    over the nonzero trace monomials of its face.  Each face traces only
+    the monomials it can see (`face_traces`), each weight reads only the
+    keys its alternators pair with, and moment tables live for this call.
     """
     if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in forms):
         raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
-    columns = [linalg.int_row(f.terms) for f in forms]
+    groups = monomial_groups([linalg.int_row(f.terms) for f in forms])
     moments = FaceMoments(dofset.spec.element)
     rows: list[list[int]] = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
-        index = face_traces(columns, face)
+        index = face_traces(groups, face)
+        keys = moments.by_tau(index)
         for phi in group:
             if (phi.weight.n, phi.weight.k) != (face.dim, face.dim - dofset.spec.k):
                 raise ValueError(f"weight {phi.weight} does not fit face {face.label}")
-            m, _ = moments.scaled(phi.weight, index)
+            m, _ = moments.scaled(phi.weight, keys)
             row = [0] * len(forms)
             for key, v in m.items():
                 for j, c in index[key].items():
@@ -156,28 +156,41 @@ def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
     return rows
 
 
-def face_traces(columns, face: FaceRef) -> dict:
-    """The traces on `face` of the forms with integer coefficients
-    `columns` ({(sigma, alpha): int} each), as {trace key: {j: int}}.
-
-    Each distinct monomial is traced once, by `monomial_trace`.  Entries
-    that cancel to 0 are dropped, and so are keys left with none.  Raises
-    ValueError when a trace is not integral.
-    """
-    traced = {key: monomial_trace(face.embedding, *key)
-              for key in {key for col in columns for key in col}}
-    sums: dict = {}
+def monomial_groups(columns) -> dict:
+    """The monomials of integer columns ({(sigma, alpha): int} each) as
+    {(bits of sigma, bits of the support of alpha): {key: [(j, c), ...]}}."""
+    groups: dict = {}
     for j, col in enumerate(columns):
-        for key, c in col.items():
-            for got, t in traced[key]:
-                entry = sums.setdefault(got, {})
-                entry[j] = entry.get(j, 0) + c * t
+        for (sigma, alpha), c in col.items():
+            axes = sum([1 << s for s in sigma]), sum([1 << i for i, e in enumerate(alpha, 1) if e])
+            groups.setdefault(axes, {}).setdefault((sigma, alpha), []).append((j, c))
+    return groups
+
+
+def face_traces(groups, face: FaceRef) -> dict:
+    """The traces on `face` of the columns grouped by `monomial_groups`, as
+    {trace key: {j: int}}.  dx^sigma traces to 0 unless sigma lies in the
+    axes F of nonzero chart rows, x^alpha unless alpha is 0 off the axes N
+    of nonzero rows or offsets; only groups inside both are traced, once
+    each, by `monomial_trace` (on a coordinate chart, none of them to 0).
+    Cancelled entries and empty keys are dropped; a non-integral trace raises ValueError."""
+    seen = sum([1 << i for i, row in enumerate(face.embedding.matrix, 1) if any(row)])
+    near = seen | sum([1 << i for i, c in enumerate(face.embedding.offset, 1) if c])
+    sums: dict = {}
+    for (sigma, support), monomials in groups.items():
+        if sigma & ~seen or support & ~near:
+            continue
+        for key, got in monomials.items():
+            for tr, t in monomial_trace(face.embedding, *key):
+                entry = sums.setdefault(tr, {})
+                for j, c in got:
+                    entry[j] = entry.get(j, 0) + c * t
     index = {}
-    for got, entry in sums.items():
+    for tr, entry in sums.items():
         if any(v.denominator != 1 for v in entry.values()):
             raise ValueError(f"a trace on face {face.label} is not integral")
         if entry := {j: v.numerator for j, v in entry.items() if v}:
-            index[got] = entry
+            index[tr] = entry
     return index
 
 
@@ -218,13 +231,11 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
     forms = monomial_forms(n, k, r - 1)
     cols = len(forms)
     ech = linalg.Echelon()
-    columns = [linalg.int_row(f.terms) for f in forms]
+    groups = monomial_groups([linalg.int_row(f.terms) for f in forms])
     faces = reference_faces("simplex", n)
-    for face in faces:
-        if face.dim == n - 1:
-            index = face_traces(columns, face)
-            for key in sorted(index):
-                ech.add(index[key])
+    for face in [face for face in faces if face.dim == n - 1]:
+        for _, entry in sorted(face_traces(groups, face).items()):
+            ech.add(entry)
     interior = DofSet(SpaceSpec("P", n, r - 1, k), tuple(
         DofFunctional(faces[-1], q) for q in monomial_forms(n, n - k, r + k - n - 1)))
     for row in dof_matrix(forms, interior):

@@ -531,15 +531,24 @@ class FaceMoments:
                                  f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
         den = lcm(*[c.denominator for c in tr.terms.values()])
         ints = {key: c.numerator * (den // c.denominator) for key, c in tr.terms.items()}
-        scaled = [self.scaled(q, ints) for q in weights]
+        keys = self.by_tau(ints)
+        scaled = [self.scaled(q, keys) for q in weights]
         return [exact(Fraction(sum([ints[key] * v for key, v in m.items()]), den * scale))
                 for m, scale in scaled]
 
-    def scaled(self, q: PolyForm, keys) -> tuple[dict, int]:
-        """The nonzero moments of q against the monomials (tau, alpha) in
-        `keys` of a (d - q.k)-form trace, as ({key: int}, den): over the
-        lcm of all their denominators.  A key whose tau is not the
-        complement of an alternator of q has moment 0 and is not computed."""
+    @staticmethod
+    def by_tau(keys) -> dict:
+        """Trace monomials (tau, alpha) as {tau: [key, ...]}, as `scaled` reads them."""
+        groups: dict = {}
+        for key in keys:
+            groups.setdefault(key[0], []).append(key)
+        return groups
+
+    def scaled(self, q: PolyForm, keys: dict) -> tuple[dict, int]:
+        """The nonzero moments of q against the trace monomials (tau, alpha)
+        of a (d - q.k)-form, grouped by tau (`by_tau`), as ({key: int}, den)
+        over the lcm of all their denominators.  Only the groups whose tau
+        complements an alternator of q are read: every other moment is 0."""
         held = self._tables.get(id(q))
         if held is None:
             # only q's component on the complement of tau pairs with dx^tau;
@@ -552,8 +561,8 @@ class FaceMoments:
             held = self._tables[id(q)] = (q, parts, {})
         _, parts, table = held
         got = {}
-        for key in keys:
-            if key[0] in parts:
+        for tau in parts:
+            for key in keys.get(tau, ()):
                 m = table.get(key)
                 if m is None:
                     m = table[key] = self._moment(parts, *key)

@@ -8,11 +8,11 @@ smallest column key, so repeated runs produce identical echelons.  Ranks,
 span membership and square solves (`LUFactor`) all run on it.
 
 Nonsingularity of a square matrix has a modular shortcut: a determinant
-that is nonzero mod p certifies a nonzero determinant over Q, while an
-inconclusive reduction falls back to exact elimination.  The modular pass
-is a sparse elimination on integer entries reduced directly mod p, so the
-integer DOF matrices of `dofs.dof_matrix` are decided without a Fraction;
-a matrix with Fraction entries goes straight to exact elimination.
+that is nonzero mod p certifies a nonzero determinant over Q.  A sparse
+elimination on integer entries reduced mod p decides the integer DOF
+matrices of `dofs.dof_matrix` without a Fraction: mod the first of
+`_PRIMES`, mod the second only when the first is inconclusive, then by
+exact elimination, where a matrix with Fraction entries goes at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-_PRIME = (1 << 31) - 1  # Mersenne prime, fits machine words
+_PRIMES = (32749, 32719)  # below 2^15: (p-1)*p < 2^30, one CPython int digit
 
 
 class SingularMatrixError(ValueError):
@@ -133,8 +133,8 @@ def _nonsingular_mod(rows: list[list[int]], p: int) -> bool:
 def is_nonsingular(rows: list) -> bool:
     """Exact nonsingularity of a square matrix of ints or Fractions.
 
-    det != 0 mod p implies det != 0 over Q, so the modular pass can only
-    certify success; the exact echelon settles the remaining cases.
+    det != 0 mod p implies det != 0 over Q, so the modular passes can
+    only certify success; the exact echelon settles the remaining cases.
     """
     n = len(rows)
     if n == 0:
@@ -142,7 +142,7 @@ def is_nonsingular(rows: list) -> bool:
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     ints = not any(Fraction in set(map(type, r)) for r in rows)
-    return (ints and _nonsingular_mod(rows, _PRIME)) or rank(rows) == n
+    return (ints and any(_nonsingular_mod(rows, p) for p in _PRIMES)) or rank(rows) == n
 
 
 class LUFactor:

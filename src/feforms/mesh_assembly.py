@@ -415,7 +415,7 @@ class GlobalSpace:
         got = self._traces.get(key)
         if got is None:
             traces = [pullback(b, psi).terms for b in self._int_basis]
-            got = self._traces[key] = (traces, {mono for tr in traces for mono in tr})
+            got = self._traces[key] = (traces, self._moments.by_tau(set().union(*traces)))
         traces, monomials = got
         m, scale = self._moments.scaled(dof.weight, monomials)
         return [exact(Fraction(sum([c * m[mono] for mono, c in tr.items() if mono in m]),

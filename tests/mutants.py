@@ -87,6 +87,10 @@ CATALOGUE = (
            "any(v.denominator != 1 for v in entry.values())",
            "False",
            ("tests/test_dofs.py::test_dof_matrix_rejects_a_trace_that_is_not_integral",)),
+    Mutant("face-filter-checks-support-against-f", "dofs.py",
+           "support & ~near",
+           "support & ~seen",
+           ("tests/test_dofs.py::test_dof_matrix_matches_the_pullback_oracle",)),
     Mutant("trace-moment-accepts-r-0", "dofs.py",
            "    if r < 1:\n        raise ValueError(f\"the trace-moment",
            "    if r < 0:\n        raise ValueError(f\"the trace-moment",
@@ -100,6 +104,11 @@ CATALOGUE = (
            "den * scale))\n                for m, scale in scaled]",
            "den * scaled[0][1]))\n                for m, scale in scaled]",
            ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",)),
+    Mutant("moments-pair-a-weight-with-its-own-alternator", "forms.py",
+           "                tau = complement(sigma, q.n)\n",
+           "                tau = sigma\n",
+           ("tests/test_dofs.py::test_apply_examples",
+            "tests/test_dofs.py::test_unisolvence_spot_checks")),
     Mutant("box-monomial-rule-e-plus-2", "forms.py",
            "        den *= e + 1\n",
            "        den *= e + 2\n",
@@ -136,6 +145,10 @@ CATALOGUE = (
            "        if not piv:\n            return False\n",
            "        if not piv:\n            return True\n",
            ("tests/test_linalg.py::test_is_nonsingular",)),
+    Mutant("mod-p-skips-the-second-prime", "linalg.py",
+           "for p in _PRIMES)",
+           "for p in _PRIMES[:1])",
+           ("tests/test_linalg.py::test_is_nonsingular_second_prime_decides_when_the_first_cannot",)),
     Mutant("lu-solve-drops-the-scale", "linalg.py",
            "for j in range(n)], -sign * s\n",
            "for j in range(n)], 1\n",

@@ -358,7 +358,7 @@ def pullback_dof_matrix(forms, dofset) -> list[list[int]]:
         if any(c.denominator != 1 for tr in traces for c in tr.values()):
             raise ValueError(f"a trace on face {face.label} is not integral")
         traces = [[(key, c.numerator) for key, c in tr.items()] for tr in traces]
-        keys = list({key for tr in traces for key, _ in tr})
+        keys = moments.by_tau({key for tr in traces for key, _ in tr})
         for phi in group:
             if (phi.weight.n, phi.weight.k) != (face.dim, face.dim - dofset.spec.k):
                 raise ValueError(f"weight {phi.weight} does not fit face {face.label}")

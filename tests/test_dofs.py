@@ -233,13 +233,45 @@ def test_dof_matrix_is_the_exact_matrix_rescaled(family, n, r, k):
     assert got == pullback_dof_matrix(forms, dofset)
 
 
-@pytest.mark.parametrize("family, n, r, k", [("Pminus", 2, 1, 1), ("Pminus", 3, 5, 1)])
+@pytest.mark.parametrize("family, n, r, k", [("Pminus", 2, 1, 1), ("Pminus", 3, 5, 1)] + [
+    (family, 4, r, k) for family in ("P", "Pminus", "S", "Qminus")
+    for r in (1, 2) for k in range(5)])
 def test_dof_matrix_matches_the_pullback_oracle(family, n, r, k):
-    """Cancelled trace entries must not enter a row's lcm factor."""
+    """Cancelled trace entries must not enter a row's lcm factor, and the
+    face filter must keep every monomial a face sees: at n = 4 the box
+    faces fix axes at 1 and the simplex faces off the origin have offsets."""
     spec = make_spec(family, n, r, k)
     basis = basis_for(spec).forms
     dofset = dofs_for(spec)
     assert dof_matrix(basis, dofset) == pullback_dof_matrix(basis, dofset)
+
+
+@pytest.mark.parametrize("family, n, r, k", [("Pminus", 4, 2, 2), ("S", 3, 3, 1)])
+def test_dof_matrix_matches_the_pullback_oracle_on_mixed_columns(family, n, r, k):
+    """Columns that are random rational combinations of basis forms share
+    monomials; one of them, times a polynomial that vanishes on a facet,
+    has every trace entry cancel on that facet."""
+    rng = random.Random(family + str((n, r, k)))
+    spec = make_spec(family, n, r, k)
+    basis, dofset = basis_for(spec).forms, dofs_for(spec)
+    forms = []
+    for _ in basis:
+        f = PolyForm.zero(n, k)
+        for i in rng.sample(range(len(basis)), 3):
+            f = f + basis[i] * Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7))
+        forms.append(f)
+    # 1 - x1 - ... - xn vanishes on the facet opposite the origin, 1 - x1 on x1 = 1
+    ones = (1,) * n if dofset.spec.element == "simplex" else (1,) + (0,) * (n - 1)
+    vanish = Polynomial(n, {(0,) * n: 1, **{tuple(int(i == j) for i in range(n)): -1
+                                           for j, one in enumerate(ones) if one}})
+    forms.append(forms[0] * vanish)
+    facet = [face for face in reference_faces(dofset.spec.element, n)
+             if face.dim == n - 1 and pullback(forms[-1], face.embedding).is_zero
+             and not pullback(forms[0], face.embedding).is_zero][0]
+    groups = dofs.monomial_groups([linalg.int_row(f.terms) for f in forms])
+    assert sum(len(monomials) for monomials in groups.values()) < sum(len(f.terms) for f in forms)
+    assert all(len(forms) - 1 not in entry for entry in dofs.face_traces(groups, facet).values())
+    assert dof_matrix(forms, dofset) == pullback_dof_matrix(forms, dofset)
 
 
 def test_dof_matrix_drops_a_trace_that_cancels():
@@ -266,14 +298,27 @@ def count_calls(monkeypatch, owner, name, counter):
 @pytest.mark.parametrize("family, n, r, k", [("Qminus", 3, 2, 1), ("P", 3, 3, 1)])
 def test_dof_matrix_traces_each_monomial_once_per_face(monkeypatch, family, n, r, k):
     """Coordinate charts are traced by reindexing, with no pullback and no
-    substitution; any other chart pulls each distinct monomial back once."""
+    substitution; any other chart pulls each distinct monomial back once.
+    On a coordinate chart the face filter is exact: no monomial it lets
+    through has a zero trace."""
     spec = make_spec(family, n, r, k)
     basis, dofset = basis_for(spec).forms, dofs_for(spec)
     calls = {"pullback": 0, "substitute": 0}
     count_calls(monkeypatch, feforms.forms, "pullback", calls)
     count_calls(monkeypatch, dofs, "pullback", calls)
     count_calls(monkeypatch, feforms.forms, "substitute", calls)
+    traced = []
+    real = dofs.monomial_trace
+
+    def recorded(chart, sigma, alpha):
+        got = real(chart, sigma, alpha)
+        traced.append((chart._coords is not None, got))
+        return got
+
+    monkeypatch.setattr(dofs, "monomial_trace", recorded)
     dof_matrix(basis, dofset)
+    assert any(coords for coords, _ in traced)
+    assert all(got for coords, got in traced if coords)
     monomials = {key for f in basis for key in f.terms}
     charts = {phi.face for phi in dofset.functionals if phi.face.embedding._coords is None}
     if family == "Qminus":

@@ -106,7 +106,7 @@ def test_is_nonsingular_random_vs_rank():
         assert linalg.is_nonsingular(a) == (linalg.rank(a) == n)
 
 
-P31 = 2**31 - 1  # the modulus of the modular pass
+P1, P2 = linalg._PRIMES  # the moduli of the modular passes, in order
 
 
 @pytest.fixture
@@ -123,25 +123,44 @@ def exact_runs(monkeypatch):
     return runs
 
 
+def test_moduli_fit_one_cpython_digit():
+    """A residue product plus a residue stays below 2^30."""
+    for p in (P1, P2):
+        assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+        assert (p - 1) * (p - 1) + (p - 1) < 2 ** 30
+    assert P1 != P2
+
+
 @pytest.mark.parametrize("rows", [
-    [[P31, 0], [0, 1]],
-    [[1, 1, 0], [0, 1, 1], [P31 - 1, 0, 1]],  # det = p
-    [[Fraction(1, P31), 0], [0, 1]],          # a denominator p cannot invert
-    [[Fraction(3, 2 * P31), 1], [Fraction(1, P31), 1]],
+    [[P1, 0], [0, 1]],
+    [[1, 1, 0], [0, 1, 1], [P1 - 1, 0, 1]],  # det = p1
+])
+def test_is_nonsingular_second_prime_decides_when_the_first_cannot(rows, exact_runs):
+    assert not linalg._nonsingular_mod(rows, P1)
+    assert linalg.is_nonsingular(rows)
+    assert not exact_runs, "the second prime certifies these"
+
+
+@pytest.mark.parametrize("rows", [
+    [[P1 * P2, 0], [0, 1]],
+    [[1, 1, 0], [0, 1, 1], [P1 * P2 - 1, 0, 1]],  # det = p1 p2
+    [[Fraction(1, P1), 0], [0, 1]],               # Fractions skip the modular passes
+    [[Fraction(3, 2 * P1), 1], [Fraction(1, P2), 1]],
 ])
 def test_is_nonsingular_falls_back_to_exact_when_p_cannot_decide(rows, exact_runs):
     assert linalg.is_nonsingular(rows)
-    assert exact_runs, "the modular pass cannot certify these"
+    assert exact_runs, "the modular passes cannot certify these"
 
 
 def test_is_nonsingular_singular_with_denominator_p(exact_runs):
-    assert not linalg.is_nonsingular([[Fraction(1, P31), Fraction(2, P31)], [1, 2]])
+    assert not linalg.is_nonsingular([[Fraction(1, P1), Fraction(2, P1)], [1, 2]])
     assert exact_runs
 
 
 def test_is_nonsingular_sparse_random_vs_rank(exact_runs):
-    """Small entries keep |det| below p, so every nonsingular matrix here is
-    certified by the modular pass alone."""
+    """Small entries keep |det| below p1 p2: Hadamard's bound for n <= 8
+    with entries <= 3 is 3^8 8^4 < 2.7e7.  So every nonsingular matrix here
+    is certified by the modular passes alone."""
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 8)
