@@ -26,13 +26,13 @@ from feforms.forms import (
 )
 from feforms.polynomial import Polynomial, rational_to_string, sdeg_exponents
 from feforms.spaces import (
-    FAMILIES,
+    SpaceSpec,
     basis_for,
     basis_H,
     basis_P,
-    basis_Pminus,
     basis_S,
     make_spec,
+    next_level,
     span_rank,
     spans_equal,
 )
@@ -74,46 +74,42 @@ def summary_tsv(certs) -> str:
 # -- chain layouts -----------------------------------------------------------
 
 
-def chain_degrees(family: str, r: int, n: int) -> list[int | None]:
-    """Per-level polynomial degree of the family's derivative chain.
-
-    The degree drops by the family's chain drop per level; None marks a
-    level whose degree is below the family's least r.
-    """
-    facts = FAMILIES[family]
-    degrees = [r - facts.drop * k for k in range(n + 1)]
-    return [deg if deg >= facts.rmin else None for deg in degrees]
-
-
-def _check_chain_params(n: int, r: int) -> None:
+def chain(family: str, n: int, r: int) -> tuple[SpaceSpec, ...]:
+    """The family's de Rham chain on R^n from its r-level 0-forms: each
+    level is `next_level` of the one before, up to the last that exists."""
     if n < 1 or r < 1:
         raise ValueError(f"chains need n >= 1 and r >= 1, got n={n}, r={r}")
+    levels = [make_spec(family, n, r, 0)]
+    while (following := next_level(levels[-1])) is not None:
+        levels.append(following)
+    return tuple(levels)
+
+
+def _maps_into(target, forms, entry: dict, operator=None) -> bool:
+    """Whether every operator(f) lies in `target`; the first f whose image
+    does not is kept as the entry's counterexample, unless it has one."""
+    for f in forms:
+        if not target.contains(operator(f) if operator else f):
+            entry.setdefault("counterexample", form_to_string(f))
+            return False
+    return True
 
 
 def check_complex(family: str, n: int, r: int) -> Certificate:
     """The derivative maps each level's span into the next level's span."""
-    _check_chain_params(n, r)
-    degrees = chain_degrees(family, r, n)
-    steps = [k for k in range(n) if None not in degrees[k:k + 2]]
-    if not steps:
+    levels = chain(family, n, r)
+    if len(levels) < 2:
         raise ValueError(f"the {family} chain at n={n}, r={r} has no two "
                          f"consecutive levels to check")
-    levels = []
-    ok = True
-    for k in steps:
-        src = basis_for(make_spec(family, n, degrees[k], k))
-        dst = basis_for(make_spec(family, n, degrees[k + 1], k + 1))
-        entry = {"k": k, "src_dim": src.dim, "dst_dim": dst.dim,
-                 "contained": True}
-        for f in src.forms:
-            if not dst.contains(exterior_derivative(f)):
-                entry["contained"] = False
-                entry["counterexample"] = form_to_string(f)
-                break
-        levels.append(entry)
-        ok = ok and entry["contained"]
+    entries = []
+    for source, target in zip(levels, levels[1:]):
+        src, dst = basis_for(source), basis_for(target)
+        entry = {"k": source.k, "src_dim": src.dim, "dst_dim": dst.dim}
+        entry["contained"] = _maps_into(dst, src.forms, entry, exterior_derivative)
+        entries.append(entry)
     return Certificate("complex", {"family": family, "n": n, "r": r},
-                       _verdict(ok), {"levels": levels})
+                       _verdict(all(e["contained"] for e in entries)),
+                       {"levels": entries})
 
 
 def check_exactness(kind: str, n: int, r: int) -> Certificate:
@@ -126,20 +122,16 @@ def check_exactness(kind: str, n: int, r: int) -> Certificate:
     kind "koszul": levels P_(r-j) j-forms with the contraction running the
                    other way; injective at the top level and hitting every
                    polynomial without constant term at level 0.
+    Levels past the end of the chain count as zero spaces.
     """
-    _check_chain_params(n, r)
-    params = {"kind": kind, "n": n, "r": r}
-    dims, ranks = [], []
-    if kind in ("P", "koszul"):
-        bases = [basis_P(r - j, j, n) if r - j >= 0 else None for j in range(n + 1)]
-    elif kind == "Pminus":
-        bases = [basis_Pminus(r, j, n) for j in range(n + 1)]
-    else:
+    levels = chain("Pminus" if kind == "Pminus" else "P", n, r)
+    if kind not in ("P", "Pminus", "koszul"):
         raise ValueError(f"unknown exactness kind {kind!r}")
-    dims = [b.dim if b else 0 for b in bases]
+    bases = [basis_for(s) for s in levels]
     operator = koszul if kind == "koszul" else exterior_derivative
-    for j in range(n + 1):
-        ranks.append(span_rank(map(operator, bases[j].forms)) if bases[j] else 0)
+    padding = [0] * (n + 1 - len(bases))
+    dims = [b.dim for b in bases] + padding
+    ranks = [span_rank(map(operator, b.forms)) for b in bases] + padding
     nullities = [dims[j] - ranks[j] for j in range(n + 1)]
 
     conditions = []
@@ -159,7 +151,7 @@ def check_exactness(kind: str, n: int, r: int) -> Certificate:
     ok = all(v for _, v in conditions)
     witness = {"dims": dims, "ranks": ranks, "nullities": nullities,
                "conditions": {name: v for name, v in conditions}}
-    return Certificate("exactness", params, _verdict(ok), witness)
+    return Certificate("exactness", {"kind": kind, "n": n, "r": r}, _verdict(ok), witness)
 
 
 def _homogeneous_basis(r: int, k: int, n: int):
@@ -220,34 +212,16 @@ def check_S_properties(n: int, r: int) -> Certificate:
     box_faces = dofs.reference_faces("box", n)
     for k in range(n + 1):
         s = basis_S(r, k, n)
-        p_low = basis_P(r, k, n)
         entry = {"k": k, "dim": s.dim}
-
-        def witness_contains(target, forms, operator=None):
-            for f in forms:
-                g = operator(f) if operator else f
-                if not target.contains(g):
-                    entry.setdefault("counterexample", form_to_string(f))
-                    return False
-            return True
-
-        degree_low = witness_contains(s, p_low.forms)
+        degree_low = _maps_into(s, basis_P(r, k, n).forms, entry)
         degree_high = all(f.degree() <= r + n - k for f in s.forms)
-        inclusion = witness_contains(basis_S(r + 1, k, n), s.forms)
-        trace_ok = True
-        for face in box_faces:
-            if face.dim >= n or face.dim < k:
-                continue
-            target = basis_S(r, k, face.dim)
-            if not witness_contains(target, s.forms,
-                                    lambda f, e=face.embedding: pullback(f, e)):
-                trace_ok = False
-                break
-        if r >= 2 and k < n:
-            subcomplex = witness_contains(basis_S(r - 1, k + 1, n), s.forms,
-                                          exterior_derivative)
-        else:
-            subcomplex = None
+        inclusion = _maps_into(basis_S(r + 1, k, n), s.forms, entry)
+        trace_ok = all(_maps_into(basis_S(r, k, face.dim), s.forms, entry,
+                                  lambda f: pullback(f, face.embedding))
+                       for face in box_faces if k <= face.dim < n)
+        following = next_level(s.spec)
+        subcomplex = (_maps_into(basis_for(following), s.forms, entry,
+                                 exterior_derivative) if following else None)
         entry.update({"degree": degree_low and degree_high,
                       "inclusion": inclusion, "trace": trace_ok,
                       "subcomplex": subcomplex})

@@ -111,7 +111,8 @@ def _nonsingular_mod(rows: list[list[int]], p: int) -> bool:
     """
     active = [{j: w for j, v in enumerate(r) if v and (w := v % p)} for r in rows]
     while active:
-        piv = active.pop(min(range(len(active)), key=lambda i: len(active[i])))
+        sizes = list(map(len, active))
+        piv = active.pop(sizes.index(min(sizes)))
         if not piv:
             return False
         col = max(piv)

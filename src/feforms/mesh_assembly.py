@@ -522,17 +522,17 @@ def pieces_to_json_dict(pieces: dict) -> dict:
 def check_commuting(mesh: Mesh, family: str, r: int, u) -> "Certificate":
     """d(projection at level k) equals projection at level k+1 of du.
 
-    `r` is the polynomial degree at the level of u; the next level's
-    degree is lower by the family's chain drop.
+    `r` is the polynomial degree at the level of u; the next level comes
+    from `spaces.next_level` and must carry DOFs (r >= 1).
     """
     from feforms.complexes import Certificate
 
     k = u.k if isinstance(u, PolyForm) else next(iter(u.values())).k
-    r_next = r - spaces.FAMILIES[family].drop
-    if k + 1 > mesh.n or r_next < 1:
+    following = spaces.next_level(spaces.SpaceSpec(family, mesh.n, r, k))
+    if following is None or following.r < 1:
         raise MeshError("the next chain level does not exist for these parameters")
     space_k = assemble(mesh, family, r, k)
-    space_k1 = assemble(mesh, family, r_next, k + 1)
+    space_k1 = assemble(mesh, family, following.r, following.k)
     pieces = space_k.as_pieces(u)
     left = pieces_d(space_k.project(pieces))
     right = space_k1.project(pieces_d(pieces))

@@ -82,6 +82,16 @@ def make_spec(family: str, n: int, r: int, k: int) -> SpaceSpec:
     return SpaceSpec(family, n, r, k)
 
 
+def next_level(spec: SpaceSpec) -> SpaceSpec | None:
+    """The level after `spec` in its family's de Rham chain: (k+1)-forms of
+    degree lower by the family's drop; None past n or below the least r."""
+    facts = FAMILIES[spec.family]
+    r = spec.r - facts.drop
+    if spec.k < spec.n and r >= facts.rmin:
+        return SpaceSpec(spec.family, spec.n, r, spec.k + 1)
+    return None
+
+
 class SpaceBasis:
     """A rank-certified list of forms spanning one family member."""
 

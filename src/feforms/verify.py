@@ -113,21 +113,20 @@ def _commuting_certificates() -> list[Certificate]:
     certs = []
     for mesh_name, family, r in COMMUTING_CASES:
         mesh = mesh_assembly.SAMPLE_MESHES[mesh_name]()
-        degrees = complexes.chain_degrees(family, r, mesh.n)
-        for k in range(mesh.n):
-            deg_k, deg_k1 = degrees[k], degrees[k + 1]
-            if deg_k is None or deg_k1 is None or deg_k1 < 1 or deg_k < 1:
+        levels = complexes.chain(family, mesh.n, r)
+        for level, following in zip(levels, levels[1:]):
+            if following.r < 1:  # P_0 carries no DOFs
                 continue
             failures = []
             tested = 0
-            for u in spaces.monomial_forms(mesh.n, k, deg_k + 1):
-                cert = mesh_assembly.check_commuting(mesh, family, deg_k, u)
+            for u in spaces.monomial_forms(mesh.n, level.k, level.r + 1):
+                cert = mesh_assembly.check_commuting(mesh, family, level.r, u)
                 tested += 1
                 if not cert.passed:
                     failures.append(cert.params["input"])
             certs.append(Certificate(
                 "commuting",
-                {"mesh": mesh_name, "family": family, "r": deg_k, "k": k},
+                {"mesh": mesh_name, "family": family, "r": level.r, "k": level.k},
                 "pass" if not failures else "fail",
                 {"inputs_tested": tested, "failures": failures}))
     return certs

@@ -108,7 +108,9 @@ CATALOGUE = (
            "                tau = complement(sigma, q.n)\n",
            "                tau = sigma\n",
            ("tests/test_dofs.py::test_apply_examples",
-            "tests/test_dofs.py::test_unisolvence_spot_checks")),
+            "tests/test_dofs.py::test_unisolvence_spot_checks",
+            "tests/test_forms.py::test_face_moments_match_wedge_then_integrate",
+            "tests/test_forms.py::test_face_moments_match_on_family_weights")),
     Mutant("box-monomial-rule-e-plus-2", "forms.py",
            "        den *= e + 1\n",
            "        den *= e + 2\n",
@@ -117,6 +119,11 @@ CATALOGUE = (
            '"S": Family("box", 1, 1),',
            '"S": Family("box", 1, 0),',
            ("tests/test_complexes.py::test_chain_degrees",)),
+    Mutant("next-level-refuses-the-least-r", "spaces.py",
+           "    if spec.k < spec.n and r >= facts.rmin:\n",
+           "    if spec.k < spec.n and r > facts.rmin:\n",
+           ("tests/test_complexes.py::test_chain_degrees",
+            "tests/test_complexes.py::test_chain_degrees_follow_the_family_table")),
     Mutant("table-entry-off-by-one-for-s", "tables.py",
            "got = spaces.dimension(spaces.SpaceSpec(family, n, r, k))\n",
            "got = spaces.dimension(spaces.SpaceSpec(family, n, r, k)) + (family == \"S\")\n",
@@ -179,6 +186,19 @@ CATALOGUE = (
            "    points = [p[::-1] for p in product(*(range(m + 1) for m in reversed(shape)))]",
            "    points = list(product(*(range(m + 1) for m in shape)))",
            ("tests/test_mesh.py::test_sample_mesh_files_match_the_builders",)),
+    # -- chain certificates
+    Mutant("complex-accepts-a-one-level-chain", "complexes.py",
+           "    if len(levels) < 2:\n",
+           "    if len(levels) < 1:\n",
+           ("tests/test_complexes.py::test_check_complex_refuses_a_chain_with_no_step",)),
+    Mutant("exactness-kernel-at-0-at-least-the-constants", "complexes.py",
+           '("kernel_at_0_is_constants", nullities[0] == 1)',
+           '("kernel_at_0_is_constants", nullities[0] >= 1)',
+           ("tests/test_verify.py::test_exactness_certificate_fails_on_dropped_component",)),
+    Mutant("s-properties-skips-the-subcomplex", "complexes.py",
+           "        following = next_level(s.spec)\n",
+           "        following = None\n",
+           ("tests/test_verify.py::test_S_properties_certificate_fails_on_wrong_chain_drop",)),
     # -- homogeneous identities
     Mutant("homotopy-accepts-an-empty-space", "complexes.py",
            "    if not (basis := basis_H(r, k, n)):\n",

@@ -11,11 +11,11 @@ from feforms import mesh_assembly as ma
 from feforms import spaces, tables
 from feforms.combinatorics import multiindices
 from feforms.complexes import (
+    chain,
     check_direct_sum,
     check_exactness,
     check_homotopy,
     check_S_properties,
-    chain_degrees,
 )
 from feforms.dofs import unisolvence_check
 from feforms.forms import PolyForm, integrate_std_simplex
@@ -127,13 +127,12 @@ def test_criterion_7_commuting_diagram():
         (ma.SAMPLE_MESHES["two_boxes_2d"](), "S", 3),
     )
     for mesh, family, r in cases:
-        degrees = chain_degrees(family, r, mesh.n)
-        for k in range(mesh.n):
-            deg_k, deg_k1 = degrees[k], degrees[k + 1]
-            if deg_k is None or deg_k1 is None or deg_k < 1 or deg_k1 < 1:
+        levels = chain(family, mesh.n, r)
+        for level, following in zip(levels, levels[1:]):
+            if following.r < 1:  # P_0 carries no DOFs
                 continue
-            for u in monomial_forms(mesh.n, k, deg_k + 1):
-                cert = ma.check_commuting(mesh, family, deg_k, u)
+            for u in monomial_forms(mesh.n, level.k, level.r + 1):
+                cert = ma.check_commuting(mesh, family, level.r, u)
                 tested += 1
                 ok &= cert.passed
     _report(f"7 commuting diagram ({tested} inputs)", ok)

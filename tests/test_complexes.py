@@ -5,7 +5,7 @@ import pytest
 from feforms.complexes import (
     Certificate,
     certificates_to_jsonl,
-    chain_degrees,
+    chain,
     check_complex,
     check_direct_sum,
     check_exactness,
@@ -17,6 +17,15 @@ from feforms.complexes import (
 )
 from feforms.forms import AffineEmbedding, PolyForm, exterior_derivative, koszul
 from feforms.spaces import FAMILIES, basis_H
+
+
+def chain_degrees(family, r, n):
+    """The degrees of `chain(family, n, r)`, padded with None to n + 1
+    levels, once its level k is checked to hold the family's k-forms on R^n."""
+    levels = chain(family, n, r)
+    assert [(s.family, s.n, s.k) for s in levels] == [
+        (family, n, k) for k in range(len(levels))]
+    return [s.r for s in levels] + [None] * (n + 1 - len(levels))
 
 
 def test_chain_degrees():
@@ -38,7 +47,11 @@ def test_chain_degrees_follow_the_family_table():
     for family in FAMILIES:
         for n in range(5):
             for r in range(1, 7):
-                assert chain_degrees(family, r, n) == family_rule_degrees(family, r, n)
+                if n == 0:  # a chain needs a derivative to step by
+                    with pytest.raises(ValueError, match="chains need n >= 1"):
+                        chain(family, n, r)
+                else:
+                    assert chain_degrees(family, r, n) == family_rule_degrees(family, r, n)
 
 
 def test_chain_checks_reject_bad_parameters():
@@ -54,7 +67,7 @@ def test_chain_checks_reject_bad_parameters():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_check_complex_refuses_a_chain_with_no_step(n):
     # S_1 is the bottom of its chain: a certificate would check nothing
-    assert chain_degrees("S", 1, n)[1] is None
+    assert len(chain("S", n, 1)) == 1
     with pytest.raises(ValueError, match="no two consecutive levels"):
         check_complex("S", n, 1)
 

@@ -564,8 +564,8 @@ def global_d(space, target):
 
 
 def betti_numbers(mesh, family, r):
-    chain = [ma.assemble(mesh, family, deg, k)
-             for k, deg in enumerate(complexes.chain_degrees(family, r, mesh.n))]
+    chain = [ma.assemble(mesh, family, level.r, level.k)
+             for level in complexes.chain(family, mesh.n, r)]
     ds = [global_d(a, b) for a, b in zip(chain, chain[1:])]
     for first, second in zip(ds, ds[1:]):  # D_(k+1) D_k = 0
         assert all(not sum(x * y for x, y in zip(row, col))

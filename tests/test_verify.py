@@ -223,6 +223,16 @@ def test_S_properties_certificate_fails_on_truncated_edge_space(monkeypatch):
     assert cert.witness["per_k"][1]["counterexample"] == "1/1 x1 dx1"
 
 
+def test_S_properties_certificate_fails_on_wrong_chain_drop(monkeypatch):
+    assert complexes.check_S_properties(2, 3).passed
+    # a drop of 2 sends d of S_3 k-forms to S_1 (k+1)-forms, too small to hold them
+    monkeypatch.setitem(spaces.FAMILIES, "S", spaces.Family("box", 1, 2))
+    cert = complexes.check_S_properties(2, 3)
+    assert cert.verdict == "fail"
+    assert [(e["subcomplex"], e.get("counterexample")) for e in cert.witness["per_k"]] == [
+        (False, "1/1 x2^3"), (False, "1/1 x2^3 dx1"), (None, None)]
+
+
 def test_commuting_certificate_fails_on_wrong_chain_drop(monkeypatch):
     monkeypatch.setattr(verify, "COMMUTING_CASES", (("two_triangle_square", "Pminus", 2),))
     assert all(c.passed for c in verify._commuting_certificates())
