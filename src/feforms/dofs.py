@@ -131,10 +131,10 @@ def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
 
     Column j is scaled by the lcm of the coefficient denominators of form
     j; reference charts have 0/1 entries, so every trace is then integral.
-    Row i is scaled by the lcm of the denominators of its weight's moments
-    over the nonzero trace monomials of its face.  Each face traces only
-    the monomials it can see (`face_traces`), each weight reads only the
-    keys its alternators pair with, and moment tables live for this call.
+    Each face traces only the monomials it can see (`face_traces`), and
+    `FaceMoments.rows` applies its weights to those traces: row i is scaled
+    by the lcm of the denominators of its weight's moments over the trace
+    monomials of its face.  Moment tables live for this call.
     """
     if any((f.n, f.k) != (dofset.spec.n, dofset.spec.k) for f in forms):
         raise ValueError(f"forms do not all lie in the space of {dofset.spec}")
@@ -142,17 +142,12 @@ def dof_matrix(forms, dofset: DofSet) -> list[list[int]]:
     moments = FaceMoments(dofset.spec.element)
     rows: list[list[int]] = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
-        index = face_traces(groups, face)
-        keys = moments.by_tau(index)
-        for phi in group:
-            if (phi.weight.n, phi.weight.k) != (face.dim, face.dim - dofset.spec.k):
-                raise ValueError(f"weight {phi.weight} does not fit face {face.label}")
-            m, _ = moments.scaled(phi.weight, keys)
-            row = [0] * len(forms)
-            for key, v in m.items():
-                for j, c in index[key].items():
-                    row[j] += c * v
-            rows.append(row)
+        weights = [phi.weight for phi in group]
+        for q in weights:
+            if (q.n, q.k) != (face.dim, face.dim - dofset.spec.k):
+                raise ValueError(f"weight {q} does not fit face {face.label}")
+        index = face_traces(groups, face.embedding)
+        rows += [row for row, _ in moments.rows(index, weights, len(forms))]
     return rows
 
 
@@ -167,28 +162,29 @@ def monomial_groups(columns) -> dict:
     return groups
 
 
-def face_traces(groups, face: FaceRef) -> dict:
-    """The traces on `face` of the columns grouped by `monomial_groups`, as
-    {trace key: {j: int}}.  dx^sigma traces to 0 unless sigma lies in the
+def face_traces(groups, chart: AffineEmbedding) -> dict:
+    """The traces through `chart` of the columns grouped by
+    `monomial_groups`, as {trace key: {j: int}}: the index that
+    `FaceMoments.rows` reads.  dx^sigma traces to 0 unless sigma lies in the
     axes F of nonzero chart rows, x^alpha unless alpha is 0 off the axes N
     of nonzero rows or offsets; only groups inside both are traced, once
     each, by `monomial_trace` (on a coordinate chart, none of them to 0).
     Cancelled entries and empty keys are dropped; a non-integral trace raises ValueError."""
-    seen = sum([1 << i for i, row in enumerate(face.embedding.matrix, 1) if any(row)])
-    near = seen | sum([1 << i for i, c in enumerate(face.embedding.offset, 1) if c])
+    seen = sum([1 << i for i, row in enumerate(chart.matrix, 1) if any(row)])
+    near = seen | sum([1 << i for i, c in enumerate(chart.offset, 1) if c])
     sums: dict = {}
     for (sigma, support), monomials in groups.items():
         if sigma & ~seen or support & ~near:
             continue
         for key, got in monomials.items():
-            for tr, t in monomial_trace(face.embedding, *key):
+            for tr, t in monomial_trace(chart, *key):
                 entry = sums.setdefault(tr, {})
                 for j, c in got:
                     entry[j] = entry.get(j, 0) + c * t
     index = {}
     for tr, entry in sums.items():
         if any(v.denominator != 1 for v in entry.values()):
-            raise ValueError(f"a trace on face {face.label} is not integral")
+            raise ValueError(f"a trace through the chart {chart.matrix} is not integral")
         if entry := {j: v.numerator for j, v in entry.items() if v}:
             index[tr] = entry
     return index
@@ -223,8 +219,8 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
     A degree-(r-1) k-form whose trace vanishes on every facet and whose
     moments against all (n-k)-form weights of degree r+k-n-1 vanish must be
     zero; equivalently the stacked constraint matrix has full column rank.
-    The moment rows come from `dof_matrix` on the cell.  r = 0 is refused:
-    with no form to test, the check could not fail.
+    The moment rows come from `FaceMoments.rows` on the cell.  r = 0 is
+    refused: with no form to test, the check could not fail.
     """
     if r < 1:
         raise ValueError(f"the trace-moment check needs r >= 1, got r={r}")
@@ -234,11 +230,11 @@ def trace_moment_vanishing_check(r: int, k: int, n: int) -> dict:
     groups = monomial_groups([linalg.int_row(f.terms) for f in forms])
     faces = reference_faces("simplex", n)
     for face in [face for face in faces if face.dim == n - 1]:
-        for _, entry in sorted(face_traces(groups, face).items()):
+        for _, entry in sorted(face_traces(groups, face.embedding).items()):
             ech.add(entry)
-    interior = DofSet(SpaceSpec("P", n, r - 1, k), tuple(
-        DofFunctional(faces[-1], q) for q in monomial_forms(n, n - k, r + k - n - 1)))
-    for row in dof_matrix(forms, interior):
+    interior = face_traces(groups, faces[-1].embedding)
+    weights = monomial_forms(n, n - k, r + k - n - 1)
+    for row, _ in FaceMoments("simplex").rows(interior, weights, cols):
         ech.add(dict(enumerate(row)))
     return {
         "r": r, "k": k, "n": n,

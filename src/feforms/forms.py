@@ -503,11 +503,11 @@ class FaceMoments:
     `kind`; tr is a k-form and q a (d-k)-form on R^d.  Per weight q, a
     table maps each trace monomial (tau, alpha) to the moment of
     x^alpha dx^tau against q, filled on first use from the closed monomial
-    integral.  A moment is then a sparse dot product over the terms of tr,
-    summed over integers on the lcm of the entries it reads (`scaled`):
-    no wedge product is formed; `moments` scales tr once for many weights.
-    On R^0 the empty monomial integrates to 1, which is point evaluation,
-    so vertices need no special case.
+    integral.  `rows`, the one kernel, applies weights to integer columns
+    given by their trace monomials, as sparse dot products over integers
+    with no wedge formed; `moments` and a call run it on one column.  On
+    R^0 the empty monomial integrates to 1: point evaluation, so vertices
+    need no special case.
 
     Tables grow with every monomial met and keep their weights alive, so
     scope an instance to one computation, not to the process.
@@ -524,51 +524,47 @@ class FaceMoments:
 
     def moments(self, tr: PolyForm, weights) -> list:
         """The moment of tr against each weight, in `exact` form."""
-        d = tr.n
         for q in weights:
-            if q.n != d or tr.k + q.k != d:
+            if q.n != tr.n or tr.k + q.k != tr.n:
                 raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
-                                 f"{tr.k}-form on R^{d} and a {q.k}-form on R^{q.n}")
+                                 f"{tr.k}-form on R^{tr.n} and a {q.k}-form on R^{q.n}")
         den = lcm(*[c.denominator for c in tr.terms.values()])
-        ints = {key: c.numerator * (den // c.denominator) for key, c in tr.terms.items()}
-        keys = self.by_tau(ints)
-        scaled = [self.scaled(q, keys) for q in weights]
-        return [exact(Fraction(sum([ints[key] * v for key, v in m.items()]), den * scale))
-                for m, scale in scaled]
+        index = {key: {0: c.numerator * (den // c.denominator)} for key, c in tr.terms.items()}
+        got = self.rows(index, weights, 1)
+        return [exact(Fraction(row[0], den * scale)) for row, scale in got]
 
-    @staticmethod
-    def by_tau(keys) -> dict:
-        """Trace monomials (tau, alpha) as {tau: [key, ...]}, as `scaled` reads them."""
-        groups: dict = {}
-        for key in keys:
-            groups.setdefault(key[0], []).append(key)
-        return groups
-
-    def scaled(self, q: PolyForm, keys: dict) -> tuple[dict, int]:
-        """The nonzero moments of q against the trace monomials (tau, alpha)
-        of a (d - q.k)-form, grouped by tau (`by_tau`), as ({key: int}, den)
-        over the lcm of all their denominators.  Only the groups whose tau
+    def rows(self, index: dict, weights, width: int) -> list[tuple[list, int]]:
+        """The moments against each weight of `width` integer columns, whose
+        traces `index` maps as {(tau, alpha): {column j: int}}, as (row,
+        scale): row[j] / scale is the moment of column j, and scale the lcm
+        of the denominators of the moments read.  Only the keys whose tau
         complements an alternator of q are read: every other moment is 0."""
-        held = self._tables.get(id(q))
-        if held is None:
-            # only q's component on the complement of tau pairs with dx^tau;
-            # the table holds its weight, so no other object can take its id
-            parts = {}
-            for sigma, b in q.components.items():
-                tau = complement(sigma, q.n)
-                parts[tau] = (merge_sign(tau, sigma), [
-                    (beta, c.numerator, c.denominator) for beta, c in b.terms.items()])
-            held = self._tables[id(q)] = (q, parts, {})
-        _, parts, table = held
-        got = {}
-        for tau in parts:
-            for key in keys.get(tau, ()):
-                m = table.get(key)
-                if m is None:
-                    m = table[key] = self._moment(parts, *key)
-                got[key] = m
-        den = lcm(*[d for _, d in got.values()])
-        return {key: n * (den // d) for key, (n, d) in got.items() if n}, den
+        by_tau: dict = {}
+        for key in index:
+            by_tau.setdefault(key[0], []).append(key)
+        out = []
+        for q in weights:
+            held = self._tables.get(id(q))
+            if held is None:
+                # only q's component on the complement of tau pairs with dx^tau;
+                # the table holds its weight, so no other object can take its id
+                parts = {}
+                for sigma, b in q.components.items():
+                    tau = complement(sigma, q.n)
+                    parts[tau] = (merge_sign(tau, sigma), [
+                        (beta, c.numerator, c.denominator) for beta, c in b.terms.items()])
+                held = self._tables[id(q)] = (q, parts, {})
+            _, parts, table = held
+            got = [(key, table.get(key) or table.setdefault(key, self._moment(parts, *key)))
+                   for tau in parts for key in by_tau.get(tau, ())]
+            scale = lcm(*[d for _, (_, d) in got])
+            row = [0] * width
+            for key, (m, d) in got:
+                v = m * (scale // d)
+                for j, c in index[key].items():
+                    row[j] += c * v
+            out.append((row, scale))
+        return out
 
     def _moment(self, parts: dict, tau, alpha) -> tuple[int, int]:
         """Integral of x^alpha dx^tau ^ q as a reduced fraction (num, den)."""

@@ -36,7 +36,7 @@ from feforms.forms import (
     pullback,
     simplex_face_chart,
 )
-from feforms.dofs import reference_faces, weight_basis
+from feforms.dofs import face_traces, monomial_groups, reference_faces, weight_basis
 from feforms.polynomial import (
     DegenerateSimplexError,
     exact,
@@ -368,6 +368,7 @@ class GlobalSpace:
         self._basis_den = lcm(*[c.denominator for b in self.basis.forms
                                 for c in b.terms.values()])
         self._int_basis = [b * self._basis_den for b in self.basis.forms]
+        self._groups = monomial_groups([b.terms for b in self._int_basis])
         self.dofs: list[GlobalDof] = []
         element_dofs: list[list] = [[] for _ in mesh.elements]
         for face in self.faces:
@@ -383,7 +384,7 @@ class GlobalSpace:
                     f"{family} r={r} k={k} is not unisolvent: element {ei} carries "
                     f"{len(local)} DOFs for a space of dimension {self.basis.dim}")
         self._lu: dict[tuple, linalg.LUFactor] = {}
-        self._traces: dict[tuple, tuple] = {}
+        self._traces: dict[tuple, dict] = {}
         self._moments = FaceMoments(mesh.element_kind)
 
     @property
@@ -402,37 +403,32 @@ class GlobalSpace:
                                          [dof.weight for dof in group])
         return out
 
-    def _dof_row(self, dof: GlobalDof, psi: AffineEmbedding) -> list:
-        """The DOF applied, through the face chart psi, to every basis form,
-        from one moment table read.
-
-        The traces of the integer basis forms are cached by chart value,
-        shared by the element matrices and the matching constraints of
-        `assembled_dimension_by_rank`; elements with the same local face
-        orientation share one entry.
-        """
+    def _face_rows(self, face_dofs, psi: AffineEmbedding) -> list[list]:
+        """The DOFs of one face applied through the face chart psi to every
+        basis form, one exact row each, by `FaceMoments.rows`.  The traces
+        of the integer basis are cached by chart value: the element matrices
+        and `assembled_dimension_by_rank` share them, and so do the
+        elements with the same local face orientation."""
         key = (psi.matrix, psi.offset)
-        got = self._traces.get(key)
-        if got is None:
-            traces = [pullback(b, psi).terms for b in self._int_basis]
-            got = self._traces[key] = (traces, self._moments.by_tau(set().union(*traces)))
-        traces, monomials = got
-        m, scale = self._moments.scaled(dof.weight, monomials)
-        return [exact(Fraction(sum([c * m[mono] for mono, c in tr.items() if mono in m]),
-                               scale * self._basis_den)) for tr in traces]
+        index = self._traces.get(key)
+        if index is None:
+            index = self._traces[key] = face_traces(self._groups, psi)
+        got = self._moments.rows(index, [dof.weight for dof in face_dofs], self.basis.dim)
+        return [[exact(Fraction(v, scale * self._basis_den)) for v in row] for row, scale in got]
 
     def _element_matrix(self, ei: int) -> linalg.LUFactor:
         """The element's factored DOF matrix, shared by the elements with
         the same local pattern: the same weights through the same face
         charts, in the same order.  Weights come from the cached
         `weight_basis` and the DOFs keep them alive, so ids name them."""
-        key = tuple((id(dof.weight), psi.matrix, psi.offset)
-                    for dof, psi in self.element_dofs[ei])
+        local = self.element_dofs[ei]
+        key = tuple((id(dof.weight), psi.matrix, psi.offset) for dof, psi in local)
         got = self._lu.get(key)
         if got is None:
-            got = linalg.LUFactor([self._dof_row(dof, psi)
-                                   for dof, psi in self.element_dofs[ei]])
-            self._lu[key] = got
+            rows = []
+            for (_, psi), group in groupby(local, key=lambda pair: (pair[0].face, pair[1])):
+                rows += self._face_rows([dof for dof, _ in group], psi)
+            got = self._lu[key] = linalg.LUFactor(rows)
         return got
 
     def from_dof_values(self, values) -> dict:
@@ -478,23 +474,27 @@ def assembled_dimension_by_rank(space: GlobalSpace) -> int:
     """Dimension of the matching-constraint solution space, computed by rank.
 
     Variables are per-element basis coefficients; each shared-face DOF
-    contributes equality constraints between its adjacent elements.  This
-    recomputes the assembled dimension without assuming the face-sum
-    formula.
+    ties its adjacent elements by the rows of `_face_rows`, y_e0 = y_ei.
+    Each element's local rows through its charts are independent, so the
+    rank of each star of rows y_e0 - c * y_ei does not depend on c != 0:
+    the count checks local independence and the face sum formula, not
+    orientation, which `continuity_check` and the commuting certificates
+    check.
     """
     nel = len(space.element_dofs)
     dimv = space.basis.dim
     ech = linalg.Echelon()
-    for dof in space.dofs:
-        adj = dof.face.adjacent
+    for face, group in groupby(space.dofs, key=lambda dof: dof.face):
+        adj = face.adjacent
         if len(adj) < 2:
             continue
+        face_dofs = list(group)
         e0, psi0 = adj[0]
-        base = space._dof_row(dof, psi0)
+        base = space._face_rows(face_dofs, psi0)
         for ei, psi in adj[1:]:
-            other = space._dof_row(dof, psi)
-            ech.add({**{(e0, j): v for j, v in enumerate(base) if v},
-                     **{(ei, j): -v for j, v in enumerate(other) if v}})
+            for row0, row in zip(base, space._face_rows(face_dofs, psi)):
+                ech.add({**{(e0, j): v for j, v in enumerate(row0) if v},
+                         **{(ei, j): -v for j, v in enumerate(row) if v}})
     return nel * dimv - ech.rank
 
 

@@ -77,8 +77,7 @@ CATALOGUE = (
     Mutant("dof-matrix-drops-last-row", "dofs.py",
            "    return rows\n",
            "    return rows[:-1]\n",
-           ("tests/test_dofs.py::test_dof_matrix_is_the_exact_matrix_rescaled",
-            "tests/test_dofs.py::test_trace_moment_vanishing")),
+           ("tests/test_dofs.py::test_dof_matrix_is_the_exact_matrix_rescaled",)),
     Mutant("face-traces-keeps-cancelled-entries", "dofs.py",
            "{j: v.numerator for j, v in entry.items() if v}",
            "{j: v.numerator for j, v in entry.items()}",
@@ -96,21 +95,26 @@ CATALOGUE = (
            "    if r < 0:\n        raise ValueError(f\"the trace-moment",
            ("tests/test_dofs.py::test_trace_moment_vanishing_refuses_degree_0",)),
     Mutant("trace-moment-drops-a-moment-row", "dofs.py",
-           "    for row in dof_matrix(forms, interior):",
-           "    for row in dof_matrix(forms, interior)[1:]:",
+           "rows(interior, weights, cols):",
+           "rows(interior, weights, cols)[1:]:",
            ("tests/test_dofs.py::test_trace_moment_vanishing",)),
     # -- integration, families and tables
     Mutant("batched-moments-reuse-the-first-scale", "forms.py",
-           "den * scale))\n                for m, scale in scaled]",
-           "den * scaled[0][1]))\n                for m, scale in scaled]",
+           "den * scale)) for row, scale in got]",
+           "den * got[0][1])) for row, scale in got]",
            ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",)),
     Mutant("moments-pair-a-weight-with-its-own-alternator", "forms.py",
-           "                tau = complement(sigma, q.n)\n",
-           "                tau = sigma\n",
+           "                    tau = complement(sigma, q.n)\n",
+           "                    tau = sigma\n",
            ("tests/test_dofs.py::test_apply_examples",
             "tests/test_dofs.py::test_unisolvence_spot_checks",
             "tests/test_forms.py::test_face_moments_match_wedge_then_integrate",
             "tests/test_forms.py::test_face_moments_match_on_family_weights")),
+    Mutant("face-moment-rows-skip-the-rescale", "forms.py",
+           "                v = m * (scale // d)\n",
+           "                v = m\n",
+           ("tests/test_dofs.py::test_face_moment_rows_match_one_column_calls",
+            "tests/test_dofs.py::test_dof_matrix_is_the_exact_matrix_rescaled")),
     Mutant("box-monomial-rule-e-plus-2", "forms.py",
            "        den *= e + 1\n",
            "        den *= e + 2\n",
@@ -175,9 +179,17 @@ CATALOGUE = (
            ("tests/test_mesh.py::test_integer_validation_agrees_with_the_oracle_on_thirds_and_sevenths",
             "tests/test_mesh.py::test_moved_vertex_breaks_conformity")),
     Mutant("constraint-rows-skip-faces-of-two-elements", "mesh_assembly.py",
-           "        if len(adj) < 2:\n            continue\n        e0, psi0 = adj[0]\n        base",
-           "        if len(adj) < 3:\n            continue\n        e0, psi0 = adj[0]\n        base",
+           "        if len(adj) < 2:\n            continue\n        face_dofs",
+           "        if len(adj) < 3:\n            continue\n        face_dofs",
            ("tests/test_mesh.py::test_assemble_face_sum_and_rank_agree",)),
+    Mutant("face-rows-cache-keyed-on-the-matrix-alone", "mesh_assembly.py",
+           "        key = (psi.matrix, psi.offset)\n",
+           "        key = psi.matrix\n",
+           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",)),
+    Mutant("conformity-needs-every-outside-plane", "mesh_assembly.py",
+           "if any(_plane_value(plane, pt, s) for plane in outside):",
+           "if all(_plane_value(plane, pt, s) for plane in outside):",
+           ("tests/test_mesh.py::test_moved_vertex_breaks_conformity",)),
     Mutant("commuting-always-passes", "mesh_assembly.py",
            "    ok = left == right\n",
            "    ok = True\n",
@@ -200,6 +212,14 @@ CATALOGUE = (
            "        following = None\n",
            ("tests/test_verify.py::test_S_properties_certificate_fails_on_wrong_chain_drop",)),
     # -- homogeneous identities
+    Mutant("direct-sum-without-the-rank-identity", "complexes.py",
+           "    ok = (rank_kappa + rank_d == dim_h) and (rank_union == dim_h)\n",
+           "    ok = rank_union == dim_h\n",
+           ("tests/test_verify.py::test_direct_sum_certificate_fails_when_the_contraction_image_meets_d",)),
+    Mutant("direct-sum-without-the-union-rank", "complexes.py",
+           " and (rank_union == dim_h)\n",
+           "\n",
+           ("tests/test_verify.py::test_direct_sum_certificate_fails_when_the_contraction_image_lies_in_d",)),
     Mutant("homotopy-accepts-an-empty-space", "complexes.py",
            "    if not (basis := basis_H(r, k, n)):\n",
            "    if not (basis := basis_H(r, k, n)) and False:\n",
@@ -214,6 +234,10 @@ CATALOGUE = (
            "    except OSError as exc:\n        raise ValueError(f\"cannot write {path}",
            "    except ZeroDivisionError as exc:\n        raise ValueError(f\"cannot write {path}",
            ("tests/test_cli.py::test_unwritable_out_exits_2",)),
+    Mutant("form-parser-accepts-an-empty-term", "forms.py",
+           "        if not toks:\n            raise ValueError(f\"empty term in {text!r}\")\n",
+           "",
+           ("tests/test_cli.py::test_project_form_with_repeated_tokens_exits_2",)),
     Mutant("mesh-accepts-float-and-bool-coordinates", "mesh_assembly.py",
            "isinstance(c, (str, Fraction))",
            "isinstance(c, (str, Fraction, float, bool))",

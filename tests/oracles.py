@@ -344,7 +344,9 @@ def pullback_dof_matrix(forms, dofset) -> list[list[int]]:
     """The integer DOF matrix of `dofs.dof_matrix`, with every form pulled
     back whole through every face chart: column j scaled by the lcm of the
     coefficient denominators of form j, row i by the lcm of the moments of
-    its weight over every trace monomial of its face."""
+    its weight over every trace monomial of its face.  The traces index
+    the columns for `FaceMoments.rows`, with no face filter and no
+    per-monomial trace."""
     scaled = []
     for f in forms:
         den = lcm(*[c.denominator for c in f.terms.values()])
@@ -354,16 +356,17 @@ def pullback_dof_matrix(forms, dofset) -> list[list[int]]:
     moments = FaceMoments(dofset.spec.element)
     rows = []
     for face, group in groupby(dofset.functionals, key=lambda phi: phi.face):
-        traces = [pullback(f, face.embedding).terms for f in scaled]
-        if any(c.denominator != 1 for tr in traces for c in tr.values()):
-            raise ValueError(f"a trace on face {face.label} is not integral")
-        traces = [[(key, c.numerator) for key, c in tr.items()] for tr in traces]
-        keys = moments.by_tau({key for tr in traces for key, _ in tr})
-        for phi in group:
-            if (phi.weight.n, phi.weight.k) != (face.dim, face.dim - dofset.spec.k):
-                raise ValueError(f"weight {phi.weight} does not fit face {face.label}")
-            m, _ = moments.scaled(phi.weight, keys)
-            rows.append([sum([c * m.get(key, 0) for key, c in tr]) for tr in traces])
+        index = {}
+        for j, f in enumerate(scaled):
+            for key, c in pullback(f, face.embedding).terms.items():
+                if c.denominator != 1:
+                    raise ValueError(f"a trace on face {face.label} is not integral")
+                index.setdefault(key, {})[j] = c.numerator
+        weights = [phi.weight for phi in group]
+        for q in weights:
+            if (q.n, q.k) != (face.dim, face.dim - dofset.spec.k):
+                raise ValueError(f"weight {q} does not fit face {face.label}")
+        rows += [row for row, _ in moments.rows(index, weights, len(scaled))]
     return rows
 
 

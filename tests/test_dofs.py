@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb, lcm
 
 import pytest
@@ -18,7 +19,7 @@ from feforms.dofs import (
     trace_moment_vanishing_check,
     weight_basis,
 )
-from feforms.forms import AffineEmbedding, PolyForm, pullback
+from feforms.forms import AffineEmbedding, FaceMoments, PolyForm, pullback, simplex_face_chart
 from feforms.polynomial import Polynomial
 from feforms.spaces import basis_Pminus, basis_S, basis_for, make_spec
 from oracles import pullback_dof_matrix
@@ -270,8 +271,45 @@ def test_dof_matrix_matches_the_pullback_oracle_on_mixed_columns(family, n, r, k
              and not pullback(forms[0], face.embedding).is_zero][0]
     groups = dofs.monomial_groups([linalg.int_row(f.terms) for f in forms])
     assert sum(len(monomials) for monomials in groups.values()) < sum(len(f.terms) for f in forms)
-    assert all(len(forms) - 1 not in entry for entry in dofs.face_traces(groups, facet).values())
+    assert all(len(forms) - 1 not in entry for entry in dofs.face_traces(groups, facet.embedding).values())
     assert dof_matrix(forms, dofset) == pullback_dof_matrix(forms, dofset)
+
+
+@pytest.mark.parametrize("family, n, r, k", [
+    ("P", 2, 3, 1), ("Pminus", 3, 2, 1), ("P", 3, 2, 0), ("S", 3, 2, 1), ("Qminus", 2, 3, 0)])
+def test_face_moment_rows_match_one_column_calls(family, n, r, k):
+    """`FaceMoments.rows` on the traces of many integer columns gives, for
+    each column j, row[j] / scale equal to a call on column j alone.  The
+    charts are every reference face chart and, on simplices, every vertex
+    order of every face: the charts `Mesh.faces` hands out, with entries
+    -1 and offsets 1, which `face_traces` then traces directly."""
+    rng = random.Random(family + str((n, r, k)))
+    spec = make_spec(family, n, r, k)
+    basis = basis_for(spec).forms
+    forms = []
+    for f in basis:  # integer columns that share monomials
+        g = f + basis[rng.randrange(len(basis))] * rng.randint(-3, 3)
+        forms.append(g * lcm(*[c.denominator for c in g.terms.values()]))
+    groups = dofs.monomial_groups([f.terms for f in forms])
+    faces = [face for face in reference_faces(spec.element, n) if face.dim >= k]
+    charts = [face.embedding for face in faces]
+    if spec.element == "simplex":
+        charts += [simplex_face_chart(n, order) for face in faces
+                   for order in permutations(face.corners)]
+        assert any(-1 in row for chart in charts for row in chart.matrix)
+        assert any(1 in chart.offset for chart in charts if chart.source_dim)
+    moments = FaceMoments(spec.element)
+    read = 0
+    for chart in charts:
+        weights = weight_basis(family, r, k, chart.source_dim)
+        got = moments.rows(dofs.face_traces(groups, chart), weights, len(forms))
+        assert len(got) == len(weights)
+        for q, (row, scale) in zip(weights, got):
+            assert all(type(v) is int for v in row) and scale > 0
+            for j, f in enumerate(forms):
+                assert Fraction(row[j], scale) == moments(pullback(f, chart), q)
+                read += row[j] != 0
+    assert read
 
 
 def test_dof_matrix_drops_a_trace_that_cancels():

@@ -6,6 +6,7 @@ import pytest
 
 from feforms import complexes, dofs, forms, mesh_assembly, spaces, tables, verify
 from feforms.cli import run
+from feforms.polynomial import Polynomial
 
 # sha256 of the verify-all reports; any change to a certificate shows here
 REPORT_SHA256 = {
@@ -292,6 +293,35 @@ def test_direct_sum_certificate_fails_on_dropped_component(monkeypatch):
     cert = complexes.check_direct_sum(2, 1, 1)
     assert cert.verdict == "fail"
     assert cert.witness == {"dim": 4, "rank_kappa": 1, "rank_d": 1, "rank_union": 2}
+
+
+def test_direct_sum_certificate_fails_when_the_contraction_image_meets_d(monkeypatch):
+    """kappa(f) + d(x1^2 f_23), with f_23 the dx2^dx3 coefficient of f, is
+    one-to-one on the homogeneous 2-forms of degree 1 in 3D and spans the
+    same sum with the image of d, but meets it: only the rank identity
+    rank_kappa + rank_d == dim can fail."""
+    assert complexes.check_direct_sum(3, 2, 1).passed
+    x1_squared = Polynomial(3, {(2, 0, 0): 1})
+
+    def overlapping(f):
+        g = forms.PolyForm.from_polynomial(f.component((2, 3)) * x1_squared)
+        return forms.koszul(f) + forms.exterior_derivative(g)
+
+    monkeypatch.setattr(complexes, "koszul", overlapping)
+    cert = complexes.check_direct_sum(3, 2, 1)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"dim": 18, "rank_kappa": 9, "rank_d": 10, "rank_union": 18}
+
+
+def test_direct_sum_certificate_fails_when_the_contraction_image_lies_in_d(monkeypatch):
+    """A contraction onto d(x1 x2) keeps rank_kappa + rank_d == dim, but
+    the two images no longer span: only rank_union == dim can fail."""
+    assert complexes.check_direct_sum(2, 1, 1).passed
+    exact_form = forms.exterior_derivative(forms.PolyForm.monomial(2, (1, 1), ()))
+    monkeypatch.setattr(complexes, "koszul", lambda f: exact_form)
+    cert = complexes.check_direct_sum(2, 1, 1)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"dim": 4, "rank_kappa": 1, "rank_d": 3, "rank_union": 3}
 
 
 def test_origin_certificate_fails_on_homogeneous_basis(monkeypatch):
