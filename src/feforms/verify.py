@@ -8,6 +8,9 @@ assembly identities on the bundled sample meshes.
 
 from __future__ import annotations
 
+import os
+import sys
+
 from feforms import complexes, dofs, mesh_assembly, spaces, tables
 from feforms.complexes import Certificate
 from feforms.spaces import make_spec
@@ -161,18 +164,31 @@ def _assembly_certificates() -> list[Certificate]:
     return certs
 
 
+# the sections of the suite in report order, each a function of a feforms module
+SECTIONS = (("tables", "table1_certificates"), ("verify", "_dims_certificates"),
+            ("verify", "_unisolvence_certificates"), ("verify", "_homotopy_certificates"),
+            ("verify", "_exactness_certificates"), ("verify", "_complex_certificates"),
+            ("verify", "_s_property_certificates"), ("verify", "_origin_certificates"),
+            ("verify", "_trace_moment_certificates"), ("verify", "_commuting_certificates"),
+            ("verify", "_assembly_certificates"))
+
+
+def _run_section(index: int) -> list[Certificate]:
+    # looked up at call time, so a worker runs what the module holds at the fork
+    module, name = SECTIONS[index]
+    return getattr(sys.modules[f"feforms.{module}"], name)()
+
+
 def full_suite() -> list[Certificate]:
-    """Every certificate of the shipped verification suite, in fixed order."""
-    certs = []
-    certs += tables.table1_certificates()
-    certs += _dims_certificates()
-    certs += _unisolvence_certificates()
-    certs += _homotopy_certificates()
-    certs += _exactness_certificates()
-    certs += _complex_certificates()
-    certs += _s_property_certificates()
-    certs += _origin_certificates()
-    certs += _trace_moment_certificates()
-    certs += _commuting_certificates()
-    certs += _assembly_certificates()
-    return certs
+    """Every certificate of the shipped verification suite, in fixed order.
+
+    The sections share nothing but caches, so they run in forked worker
+    processes, one per CPU, and their certificates are joined in order.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(len(SECTIONS), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        return [cert for certs in pool.map(_run_section, range(len(SECTIONS)))
+                for cert in certs]

@@ -225,6 +225,21 @@ CATALOGUE = (
            "    if not (basis := basis_H(r, k, n)) and False:\n",
            ("tests/test_complexes.py::test_homotopy_and_direct_sum_refuse_an_empty_homogeneous_space",
             "tests/test_cli.py::test_homotopy_on_an_empty_homogeneous_space_exits_2")),
+    # -- origin independence
+    Mutant("origin-compares-the-basis-with-itself", "complexes.py",
+           "spans_equal(basis.forms, moved)",
+           "spans_equal(basis.forms, basis.forms)",
+           ("tests/test_verify.py::test_origin_certificate_fails_on_homogeneous_basis",)),
+    # -- the suite's worker pool
+    Mutant("suite-drops-the-last-section", "verify.py",
+           "pool.map(_run_section, range(len(SECTIONS)))",
+           "pool.map(_run_section, range(len(SECTIONS) - 1))",
+           ("tests/test_verify.py::test_full_suite_joins_the_workers_sections_in_report_order",
+            "tests/test_verify.py::test_verify_all_reports_match_recorded_digests")),
+    Mutant("suite-imports-the-pool-with-the-module", "verify.py",
+           "import os\nimport sys\n",
+           "import multiprocessing\nimport os\nimport sys\n",
+           ("tests/test_verify.py::test_importing_the_cli_loads_no_process_pool",)),
     # -- exit-2 boundaries of the CLI
     Mutant("project-lets-a-non-utf8-mesh-escape", "cli.py",
            "        except (OSError, ValueError) as exc:",

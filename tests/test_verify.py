@@ -1,11 +1,16 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from feforms import complexes, dofs, forms, mesh_assembly, spaces, tables, verify
-from feforms.cli import run
+from feforms.cli import main, run
+from feforms.complexes import Certificate, certificates_to_jsonl
 from feforms.polynomial import Polynomial
 
 # sha256 of the verify-all reports; any change to a certificate shows here
@@ -348,3 +353,71 @@ def test_verify_all_reports_match_recorded_digests(tmp_path, capsys):
     assert run(["verify-all", "--out", str(tmp_path)]) == 0
     for name, want in REPORT_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+def serial_suite():
+    """The eleven sections of the suite called in this process, in report order."""
+    return (tables.table1_certificates() + verify._dims_certificates()
+            + verify._unisolvence_certificates() + verify._homotopy_certificates()
+            + verify._exactness_certificates() + verify._complex_certificates()
+            + verify._s_property_certificates() + verify._origin_certificates()
+            + verify._trace_moment_certificates() + verify._commuting_certificates()
+            + verify._assembly_certificates())
+
+
+def test_full_suite_joins_the_workers_sections_in_report_order():
+    parallel = certificates_to_jsonl(verify.full_suite())
+    assert not multiprocessing.active_children()
+    assert parallel == certificates_to_jsonl(serial_suite())
+
+
+def only_section(monkeypatch, section):
+    """Every section of the suite returns no certificate, apart from the
+    commuting section, which becomes `section`.  All are local closures,
+    which a worker cannot receive pickled: it must look them up by name."""
+    for module, name in verify.SECTIONS:
+        monkeypatch.setattr(sys.modules[f"feforms.{module}"], name, lambda: [])
+    monkeypatch.setattr(verify, "_commuting_certificates", section)
+
+
+def test_verify_all_fails_on_a_failing_certificate_from_a_worker(monkeypatch, tmp_path,
+                                                                   capsys):
+    only_section(monkeypatch, lambda: [Certificate("commuting", {}, "fail")])
+    assert run(["verify-all", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith("0/1 certificates passed")
+    assert not multiprocessing.active_children()
+
+
+def test_full_suite_reraises_a_worker_crash(monkeypatch):
+    def crash():
+        raise RuntimeError("section crashed")
+
+    only_section(monkeypatch, crash)
+    with pytest.raises(RuntimeError, match="section crashed"):
+        verify.full_suite()
+    assert not multiprocessing.active_children()
+
+
+def test_verify_all_exits_2_when_a_worker_refuses_its_input(monkeypatch, tmp_path, capsys):
+    def refuse():
+        raise ValueError("bad input")
+
+    only_section(monkeypatch, refuse)
+    monkeypatch.setattr(sys, "argv", ["feforms", "verify-all", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as err:
+        main()
+    assert err.value.code == 2
+    assert "bad input" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported by full_suite, so start-up stays as it was
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, feforms.cli, feforms.verify; print(sorted(name for name in "
+            "('concurrent.futures', 'multiprocessing') if name in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
