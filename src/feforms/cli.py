@@ -2,7 +2,8 @@
 
 Verbs: dims, describe, unisolvence, complex, homotopy, table1, dof-counts,
 project, verify-all.  Exit status 0 on all-pass, 1 on any failed check,
-2 on usage errors or unreadable input.
+2 on usage errors or unreadable input, 3 on a crash (such as a verify-all
+worker that dies), which is neither a verdict nor bad input.
 """
 
 from __future__ import annotations
@@ -201,6 +202,9 @@ def main() -> None:
     except (mesh_assembly.MeshError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = 2
+    except Exception as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        code = 3
     sys.exit(code)
 
 

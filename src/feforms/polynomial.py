@@ -229,14 +229,12 @@ def affine_polynomial(m: int, coeffs, constant) -> Polynomial:
 
 
 def substitute(p: Polynomial, rows: list[dict], scale: int, m: int,
-               power_cache: dict | None = None) -> tuple[dict, int]:
+               power_cache: dict) -> tuple[dict, int]:
     """p with rows[i] / scale substituted for x^(i+1), as (numerators, den):
     integer coefficients over one positive denominator.  The rows, and the
     values of `power_cache` (scale^|alpha| times the image of x^alpha, by
-    alpha), map length-m exponent tuples to ints; pass a shared cache to
-    reuse work across many substitutions into the same map."""
-    if power_cache is None:
-        power_cache = {}
+    alpha), map length-m exponent tuples to ints; the cache is the map's
+    own, shared by every substitution into it."""
     if not power_cache:
         power_cache[(0,) * p.n] = {(0,) * m: 1}
     den = lcm(*[c.denominator for c in p.terms.values()])

@@ -211,6 +211,19 @@ CATALOGUE = (
            "        following = next_level(s.spec)\n",
            "        following = None\n",
            ("tests/test_verify.py::test_S_properties_certificate_fails_on_wrong_chain_drop",)),
+    Mutant("exactness-accepts-rank-below-nullity", "complexes.py",
+           '(f"exact_at_{j}", ranks[j - 1] == nullities[j])',
+           '(f"exact_at_{j}", ranks[j - 1] <= nullities[j])',
+           ("tests/test_verify.py::test_exactness_certificate_fails_on_dropped_component",)),
+    Mutant("s-properties-ignores-the-sdeg-description", "complexes.py",
+           "    ok = ok and sdeg_match and top_match\n",
+           "    ok = ok and top_match\n",
+           ("tests/test_verify.py::test_S_properties_certificate_fails_on_a_wrong_superlinear_degree",)),
+    Mutant("s-brackets-keep-w-with-x-i", "complexes.py",
+           "for w in multiindices(3, max_deg) if not w[i]]",
+           "for w in multiindices(3, max_deg)]",
+           ("tests/test_complexes.py::test_s_brackets_are_the_slot_brackets_up_to_sign",
+            "tests/test_complexes.py::test_S_vector_proxies")),
     # -- homogeneous identities
     Mutant("direct-sum-without-the-rank-identity", "complexes.py",
            "    ok = (rank_kappa + rank_d == dim_h) and (rank_union == dim_h)\n",
@@ -249,6 +262,10 @@ CATALOGUE = (
            "    except OSError as exc:\n        raise ValueError(f\"cannot write {path}",
            "    except ZeroDivisionError as exc:\n        raise ValueError(f\"cannot write {path}",
            ("tests/test_cli.py::test_unwritable_out_exits_2",)),
+    Mutant("main-reports-a-crash-as-a-failed-certificate", "cli.py",
+           "        code = 3\n",
+           "        code = 1\n",
+           ("tests/test_verify.py::test_verify_all_exits_1_only_on_a_failed_certificate",)),
     Mutant("form-parser-accepts-an-empty-term", "forms.py",
            "        if not toks:\n            raise ValueError(f\"empty term in {text!r}\")\n",
            "",
@@ -258,6 +275,10 @@ CATALOGUE = (
            "isinstance(c, (str, Fraction, float, bool))",
            ("tests/test_mesh.py::test_mesh_refuses_float_and_bool_coordinates",
             "tests/test_cli.py::test_project_mesh_with_bad_coordinate_exits_2")),
+    Mutant("assembly-accepts-a-spec-that-is-not-unisolvent", "mesh_assembly.py",
+           "            if len(local) != self.basis.dim:\n",
+           "            if False:\n",
+           ("tests/test_cli.py::test_project_spec_that_is_not_unisolvent_exits_2",)),
     Mutant("mesh-of-dimension-0-accepted", "mesh_assembly.py",
            '            raise MeshError(f"mesh dimension must be at least 1, got {n}")',
            "            pass",

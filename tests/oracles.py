@@ -37,6 +37,11 @@ before its generator streams: the full polynomial monomials, the
 contractions and the J pieces (found by stopping at the first empty piece)
 all go through one greedy selection, and S reads d of the J_(r+1) basis.
 
+The S vector-proxy bracket oracle places the products x_i w x_j of the
+bracket (x2 x3 (w2 - w3), x3 x1 (w3 - w1), x1 x2 (w1 - w2)) in their 1-form
+slots by hand with Polynomial arithmetic, the reference for the package's
+brackets as contractions.
+
 The substitution oracle is the Fraction substitution the package used
 before it moved charts to one integer scale: each power's image is a
 Polynomial with rational coefficients, built from the nearest cached
@@ -50,7 +55,7 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 from math import lcm
 
-from feforms.combinatorics import enumerate_sigma, merge
+from feforms.combinatorics import enumerate_sigma, merge, multiindices
 from feforms.forms import (
     AffineEmbedding,
     FaceMoments,
@@ -440,3 +445,24 @@ def selected_basis_S(r: int, k: int, n: int) -> list[PolyForm]:
     if k >= 1:
         gens += map(exterior_derivative, selected_basis_J(r + 1, k - 1, n))
     return select_independent(gens)
+
+
+def slot_brackets(max_deg: int) -> list[PolyForm]:
+    """The 1-forms x_i w (x_j dx_k - x_k dx_j) of the 3D S vector-proxy
+    bracket, one per i and monomial w of degree <= max_deg free of x_i,
+    with (i, j, k) cyclic, each slot product built from Polynomials."""
+    x = [Polynomial.variable(3, j) for j in range(1, 4)]
+    slots = {1: [(2, x[2], -1), (3, x[1], 1)],   # w1: -x3 x1 dx2 + x2 x1 dx3
+             2: [(1, x[2], 1), (3, x[0], -1)],   # w2: +x2 x3 dx1 - x1 x2 dx3
+             3: [(1, x[1], -1), (2, x[0], 1)]}   # w3: -x3 x2 dx1 + x3 x1 dx2
+    out = []
+    for i in (1, 2, 3):
+        for beta in multiindices(3, max_deg):
+            if beta[i - 1] != 0:
+                continue
+            w = Polynomial.monomial(3, beta)
+            form = PolyForm.zero(3, 1)
+            for slot, other, sign in slots[i]:
+                form = form + PolyForm(3, 1, {(slot,): w * x[i - 1] * other * sign})
+            out.append(form)
+    return out

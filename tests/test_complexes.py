@@ -13,10 +13,12 @@ from feforms.complexes import (
     check_origin_independence,
     check_S_properties,
     check_S_vector_proxies,
+    s_brackets,
     summary_tsv,
 )
 from feforms.forms import AffineEmbedding, PolyForm, exterior_derivative, koszul
 from feforms.spaces import FAMILIES, basis_H
+from oracles import slot_brackets
 
 
 def chain_degrees(family, r, n):
@@ -177,6 +179,16 @@ def test_S_properties():
 def test_S_vector_proxies():
     for r in (1, 2):
         assert check_S_vector_proxies(r).passed
+
+
+@pytest.mark.parametrize("max_deg, count", [(0, 3), (1, 9), (2, 18), (3, 30), (4, 45)])
+def test_s_brackets_are_the_slot_brackets_up_to_sign(max_deg, count):
+    # kappa(x1 w dx2^dx3) is the slot form of w1 itself; kappa(x2 w dx1^dx3)
+    # is minus that of w2, since dx1^dx3 = -dx3^dx1
+    got, want = s_brackets(max_deg), slot_brackets(max_deg)
+    assert len(got) == len(want) == count
+    signs = [1 if g == w else -1 if g == -w else 0 for g, w in zip(got, want)]
+    assert signs == [1] * (count // 3) + [-1] * (count // 3) + [1] * (count // 3)
 
 
 def test_origin_independence():

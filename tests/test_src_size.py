@@ -7,7 +7,7 @@ CHANGES.md; a change that frees lines may lower it.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "feforms"
-SRC_LINE_BUDGET = 3264
+SRC_LINE_BUDGET = 3242
 
 
 def test_src_stays_within_its_line_budget():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from feforms import complexes, dofs, forms, mesh_assembly, spaces, tables, verify
+from feforms import (complexes, dofs, forms, mesh_assembly, polynomial, spaces, tables,
+                     verify)
 from feforms.cli import main, run
 from feforms.complexes import Certificate, certificates_to_jsonl
 from feforms.polynomial import Polynomial
@@ -239,6 +240,19 @@ def test_S_properties_certificate_fails_on_wrong_chain_drop(monkeypatch):
         (False, "1/1 x2^3"), (False, "1/1 x2^3 dx1"), (None, None)]
 
 
+def test_S_properties_certificate_fails_on_a_wrong_superlinear_degree(monkeypatch):
+    assert complexes.check_S_properties(2, 2).passed
+    # superlinear degree one too high: the sdeg <= r monomials span only S_(r-1)
+    monkeypatch.setattr(complexes, "sdeg_exponents",
+                        lambda a: polynomial.sdeg_exponents(a) + 1)
+    cert = complexes.check_S_properties(2, 2)
+    assert cert.verdict == "fail"
+    assert not cert.witness["sdeg_characterizes_0forms"]
+    assert cert.witness["top_forms_equal_P"]
+    assert all(e["degree"] and e["inclusion"] and e["trace"] and e["subcomplex"] is not False
+               for e in cert.witness["per_k"])
+
+
 def test_commuting_certificate_fails_on_wrong_chain_drop(monkeypatch):
     monkeypatch.setattr(verify, "COMMUTING_CASES", (("two_triangle_square", "Pminus", 2),))
     assert all(c.passed for c in verify._commuting_certificates())
@@ -408,6 +422,27 @@ def test_verify_all_exits_2_when_a_worker_refuses_its_input(monkeypatch, tmp_pat
         main()
     assert err.value.code == 2
     assert "bad input" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+
+
+def section_crashes():
+    raise RuntimeError("section crashed")
+
+
+@pytest.mark.parametrize("section, code, message", [
+    (lambda: [Certificate("commuting", {}, "fail")], 1, ""),
+    (section_crashes, 3, "error: RuntimeError: section crashed\n"),
+    (lambda: os._exit(3), 3, "error: BrokenProcessPool: "),
+], ids=["failed-certificate", "section-crash", "dead-worker"])
+def test_verify_all_exits_1_only_on_a_failed_certificate(monkeypatch, tmp_path, capsys,
+                                                         section, code, message):
+    only_section(monkeypatch, section)
+    monkeypatch.setattr(sys, "argv", ["feforms", "verify-all", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as err:
+        main()
+    assert err.value.code == code
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(message) if message else err_text == ""
     assert not multiprocessing.active_children()
 
 
