@@ -505,7 +505,7 @@ class FaceMoments:
     x^alpha dx^tau against q, filled on first use from the closed monomial
     integral.  `rows`, the one kernel, applies weights to integer columns
     given by their trace monomials, as sparse dot products over integers
-    with no wedge formed; `moments` and a call run it on one column.  On
+    with no wedge formed; a call runs it on one column.  On
     R^0 the empty monomial integrates to 1: point evaluation, so vertices
     need no special case.
 
@@ -520,18 +520,14 @@ class FaceMoments:
         self._tables: dict[int, tuple[PolyForm, dict]] = {}
 
     def __call__(self, tr: PolyForm, q: PolyForm):
-        return self.moments(tr, (q,))[0]
-
-    def moments(self, tr: PolyForm, weights) -> list:
-        """The moment of tr against each weight, in `exact` form."""
-        for q in weights:
-            if q.n != tr.n or tr.k + q.k != tr.n:
-                raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
-                                 f"{tr.k}-form on R^{tr.n} and a {q.k}-form on R^{q.n}")
+        """The moment of tr against q, in `exact` form."""
+        if q.n != tr.n or tr.k + q.k != tr.n:
+            raise ValueError(f"need a k-form and a (d-k)-form on R^d, got a "
+                             f"{tr.k}-form on R^{tr.n} and a {q.k}-form on R^{q.n}")
         den = lcm(*[c.denominator for c in tr.terms.values()])
         index = {key: {0: c.numerator * (den // c.denominator)} for key, c in tr.terms.items()}
-        got = self.rows(index, weights, 1)
-        return [exact(Fraction(row[0], den * scale)) for row, scale in got]
+        [(row, scale)] = self.rows(index, (q,), 1)
+        return exact(Fraction(row[0], den * scale))
 
     def rows(self, index: dict, weights, width: int) -> list[tuple[list, int]]:
         """The moments against each weight of `width` integer columns, whose

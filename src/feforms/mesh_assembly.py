@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby, product
 from math import lcm
+from operator import mul
 
 from feforms import linalg, spaces
 from feforms.forms import (
@@ -44,7 +45,6 @@ from feforms.polynomial import (
     ratios,
     rational_from_string,
     rational_to_string,
-    sum_terms,
 )
 
 
@@ -306,18 +306,21 @@ def _plane_value(plane, point, s=1):
 
 def _facet_separates(planes, ids, shared, vertices) -> bool:
     """A facet plane lambda_i = 0 with every vertex `ids` of the other
-    simplex on its closed outer side and exactly the `shared` ones on it.
+    simplex on its closed outer side and only the `shared` ones on it, or
+    with the vertices on it decided in the same way by the other planes.
 
-    The intersection then lies in the other simplex's face on the plane,
-    conv(shared), which is a face of both: the pair conforms.  False means
-    undecided, not nonconforming.
+    The intersection lies in the facet and in the other simplex's face
+    spanned by the vertices on the plane, which include the shared ones:
+    at the end it is conv(shared), a face of both, and the pair conforms.
+    False means undecided, not nonconforming.
     """
-    for plane in planes:
-        for i in ids:
-            value = _plane_value(plane, vertices[i])
-            if value > 0 or (value == 0) != (i in shared):
-                break
-        else:
+    for pos, plane in enumerate(planes):
+        values = [_plane_value(plane, vertices[i]) for i in ids]
+        if max(values) > 0:
+            continue
+        on = [i for i, value in zip(ids, values) if not value]
+        if len(on) == len(shared) or _facet_separates(
+                planes[:pos] + planes[pos + 1:], on, shared, vertices):
             return True
     return False
 
@@ -367,8 +370,10 @@ class GlobalSpace:
         self.basis = spaces.basis_for(self.spec)
         self._basis_den = lcm(*[c.denominator for b in self.basis.forms
                                 for c in b.terms.values()])
-        self._int_basis = [b * self._basis_den for b in self.basis.forms]
-        self._groups = monomial_groups([b.terms for b in self._int_basis])
+        int_basis = [(b * self._basis_den).terms for b in self.basis.forms]
+        self._groups = monomial_groups(int_basis)
+        self._basis_columns = [(mon, [b.get(mon, 0) for b in int_basis])
+                               for mon in dict.fromkeys(m for b in int_basis for m in b)]
         self.dofs: list[GlobalDof] = []
         element_dofs: list[list] = [[] for _ in mesh.elements]
         for face in self.faces:
@@ -383,7 +388,12 @@ class GlobalSpace:
                 raise MeshError(
                     f"{family} r={r} k={k} is not unisolvent: element {ei} carries "
                     f"{len(local)} DOFs for a space of dimension {self.basis.dim}")
-        self._lu: dict[tuple, linalg.LUFactor] = {}
+        # an element's local pattern: its weights through its face charts, in order;
+        # the weights come from the cached `weight_basis`, so their ids name them
+        self._patterns = [tuple((id(dof.weight), psi.matrix, psi.offset) for dof, psi in local)
+                          for local in self.element_dofs]
+        self._nodal: dict[tuple, tuple[list, int]] = {}
+        self._tables: dict[tuple, list] = {}
         self._traces: dict[tuple, dict] = {}
         self._moments = FaceMoments(mesh.element_kind)
 
@@ -395,13 +405,41 @@ class GlobalSpace:
 
     def dof_values(self, pieces: dict) -> list:
         """Global DOF values of a piecewise form, taken from the first
-        adjacent element of each face, one trace per face."""
-        out = []
+        adjacent element of each face: each read piece as integers over one
+        denominator, and each value one integer dot product with a table."""
+        out, scaled = [], {}
         for face, group in groupby(self.dofs, key=lambda dof: dof.face):
             ei, psi = face.adjacent[0]
-            out += self._moments.moments(pullback(pieces[ei], psi),
-                                         [dof.weight for dof in group])
+            if ei not in scaled:
+                piece = pieces[ei]
+                if (piece.n, piece.k) != (self.spec.n, self.spec.k):
+                    raise ValueError(f"element {ei} holds a {piece.k}-form on R^{piece.n}, "
+                                     f"need a {self.spec.k}-form on R^{self.spec.n}")
+                den = lcm(*[c.denominator for c in piece.terms.values()])
+                scaled[ei] = {key: c.numerator * (den // c.denominator)
+                              for key, c in piece.terms.items()}, den
+            nums, den = scaled[ei]
+            for scale, table in self._moment_tables(psi, [dof.weight for dof in group], nums):
+                out.append(exact(Fraction(sum([c * table[key] for key, c in nums.items()]),
+                                          den * scale)))
         return out
+
+    def _moment_tables(self, psi: AffineEmbedding, weights, monomials) -> list[list]:
+        """Per weight q, [scale, table]: table[(sigma, alpha)] / scale is the
+        moment against q of the trace of x^alpha dx^sigma through psi.  Kept
+        per (chart value, weight); unseen monomials are traced by
+        `face_traces`, applied by `FaceMoments.rows` and rescaled together."""
+        tables = [self._tables.setdefault((psi.matrix, psi.offset, id(q)), [1, {}])
+                  for q in weights]
+        if new := [key for key in monomials if key not in tables[0][1]]:
+            index = face_traces(monomial_groups([{key: 1} for key in new]), psi)
+            got = self._moments.rows(index, weights, len(new))
+            for held, (row, scale) in zip(tables, got):
+                common = lcm(held[0], scale)
+                held[1] = {key: v * (common // held[0]) for key, v in held[1].items()}
+                held[1].update(zip(new, [v * (common // scale) for v in row]))
+                held[0] = common
+        return tables
 
     def _face_rows(self, face_dofs, psi: AffineEmbedding) -> list[list]:
         """The DOFs of one face applied through the face chart psi to every
@@ -416,32 +454,42 @@ class GlobalSpace:
         got = self._moments.rows(index, [dof.weight for dof in face_dofs], self.basis.dim)
         return [[exact(Fraction(v, scale * self._basis_den)) for v in row] for row, scale in got]
 
-    def _element_matrix(self, ei: int) -> linalg.LUFactor:
-        """The element's factored DOF matrix, shared by the elements with
-        the same local pattern: the same weights through the same face
-        charts, in the same order.  Weights come from the cached
-        `weight_basis` and the DOFs keep them alive, so ids name them."""
-        local = self.element_dofs[ei]
-        key = tuple((id(dof.weight), psi.matrix, psi.offset) for dof, psi in local)
-        got = self._lu.get(key)
+    def _nodal_basis(self, ei: int) -> tuple[list, int]:
+        """The integer basis dual to the element's local DOFs over one
+        denominator, shared by local pattern: one factored DOF matrix solved
+        for each unit vector, held as (basis monomial, its coefficients)."""
+        key = self._patterns[ei]
+        got = self._nodal.get(key)
         if got is None:
             rows = []
-            for (_, psi), group in groupby(local, key=lambda pair: (pair[0].face, pair[1])):
+            for (_, psi), group in groupby(self.element_dofs[ei],
+                                           key=lambda pair: (pair[0].face, pair[1])):
                 rows += self._face_rows([dof for dof, _ in group], psi)
-            got = self._lu[key] = linalg.LUFactor(rows)
+            lu = linalg.LUFactor(rows)
+            solved = [lu.solve([int(i == j) for i in range(lu.n)]) for j in range(lu.n)]
+            den = lcm(*[s for _, s in solved])
+            solved = [[c * (den // s) for c in t] for t, s in solved]
+            got = self._nodal[key] = ([
+                (mon, [sum(map(mul, t, column)) for t in solved])
+                for mon, column in self._basis_columns], den * self._basis_den)
         return got
 
     def from_dof_values(self, values) -> dict:
-        """The member with these global DOF values, inverting `dof_values`; an
-        element whose local values all vanish gets zero without a solve."""
+        """The member with these global DOF values, inverting `dof_values`: per
+        element, the local values combine its pattern's nodal basis; an
+        element whose local values all vanish gets zero without work."""
         n, k = self.spec.n, self.spec.k
         pieces = {}
         for ei, local in enumerate(self.element_dofs):
             rhs = [values[dof.index] for dof, _ in local]
-            coeffs, s = self._element_matrix(ei).solve(rhs) if any(rhs) else ((), 1)
-            terms = sum_terms((key, c * v) for c, b in zip(coeffs, self._int_basis) if c
-                              for key, v in b.terms.items())
-            pieces[ei] = PolyForm._of(n, k, ratios(terms, s * self._basis_den))
+            terms, den = {}, 1
+            if any(rhs):
+                nodal, den = self._nodal_basis(ei)
+                scale = lcm(*[v.denominator for v in rhs])
+                den *= scale
+                w = [v.numerator * (scale // v.denominator) for v in rhs]
+                terms = {mon: c for mon, column in nodal if (c := sum(map(mul, w, column)))}
+            pieces[ei] = PolyForm._of(n, k, ratios(terms, den))
         return pieces
 
     def as_pieces(self, u) -> dict:

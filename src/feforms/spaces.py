@@ -134,10 +134,11 @@ def span_rank(forms) -> int:
 
 
 def spans_equal(forms_a, forms_b) -> bool:
-    forms_a, forms_b = list(forms_a), list(forms_b)
-    ra = span_rank(forms_a)
-    rb = span_rank(forms_b)
-    return ra == rb == span_rank(forms_a + forms_b)
+    """Equal ranks, and b inside the span of a."""
+    ech = linalg.Echelon()
+    ra = sum(ech.add(f.terms) for f in forms_a)
+    forms_b = list(forms_b)
+    return ra == span_rank(forms_b) and all(ech.contains(f.terms) for f in forms_b)
 
 
 def _monomial_form(n: int, alpha: tuple, sigma: tuple) -> PolyForm:

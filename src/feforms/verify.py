@@ -184,11 +184,15 @@ def full_suite() -> list[Certificate]:
 
     The sections share nothing but caches, so they run in forked worker
     processes, one per CPU, and their certificates are joined in order.
+    With one CPU, or no fork, they run in this process, in the same order.
     """
     import multiprocessing
+
+    workers = min(len(SECTIONS), os.cpu_count() or 1)
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [cert for index in range(len(SECTIONS)) for cert in _run_section(index)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(min(len(SECTIONS), os.cpu_count() or 1),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         return [cert for certs in pool.map(_run_section, range(len(SECTIONS)))
                 for cert in certs]

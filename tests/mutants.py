@@ -99,10 +99,6 @@ CATALOGUE = (
            "rows(interior, weights, cols)[1:]:",
            ("tests/test_dofs.py::test_trace_moment_vanishing",)),
     # -- integration, families and tables
-    Mutant("batched-moments-reuse-the-first-scale", "forms.py",
-           "den * scale)) for row, scale in got]",
-           "den * got[0][1])) for row, scale in got]",
-           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",)),
     Mutant("moments-pair-a-weight-with-its-own-alternator", "forms.py",
            "                    tau = complement(sigma, q.n)\n",
            "                    tau = sigma\n",
@@ -170,9 +166,35 @@ CATALOGUE = (
            ("tests/test_linalg.py::test_lu_solve_is_exact_or_refuses_a_singular_matrix",)),
     # -- meshes
     Mutant("from-dof-values-feeds-zero-coefficients", "mesh_assembly.py",
-           "for c, b in zip(coeffs, self._int_basis) if c\n",
-           "for c, b in zip(coeffs, self._int_basis)\n",
+           "for mon, column in nodal if (c := sum(map(mul, w, column)))}",
+           "for mon, column in nodal if (c := sum(map(mul, w, column))) or True}",
            ("tests/test_mesh.py::test_projection_reproduces_global_linears",)),
+    Mutant("batched-moments-reuse-the-first-scale", "mesh_assembly.py",
+           "            for held, (row, scale) in zip(tables, got):\n",
+           "            for held, (row, _), (_, scale) in zip(tables, got, got[:1] * len(got)):\n",
+           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",)),
+    Mutant("moment-tables-keyed-without-the-weight", "mesh_assembly.py",
+           "(psi.matrix, psi.offset, id(q))",
+           "(psi.matrix, psi.offset)",
+           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",
+            "tests/test_mesh.py::test_dof_values_of_discontinuous_pieces_read_the_first_adjacent_element")),
+    Mutant("moment-tables-keyed-without-the-chart-offset", "mesh_assembly.py",
+           "(psi.matrix, psi.offset, id(q))",
+           "(psi.matrix, id(q))",
+           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",
+            "tests/test_mesh.py::test_dof_values_of_discontinuous_pieces_read_the_first_adjacent_element")),
+    Mutant("dof-values-read-the-last-adjacent-element", "mesh_assembly.py",
+           "            ei, psi = face.adjacent[0]\n            if ei not in scaled:",
+           "            ei, psi = face.adjacent[-1]\n            if ei not in scaled:",
+           ("tests/test_mesh.py::test_dof_values_of_discontinuous_pieces_read_the_first_adjacent_element",)),
+    Mutant("nodal-pattern-keyed-without-the-chart", "mesh_assembly.py",
+           "tuple((id(dof.weight), psi.matrix, psi.offset) for dof, psi in local)",
+           "tuple(id(dof.weight) for dof, psi in local)",
+           ("tests/test_mesh.py::test_element_factors_are_shared_by_local_pattern",)),
+    Mutant("facet-certificate-accepts-more-than-the-shared-vertices", "mesh_assembly.py",
+           "if len(on) == len(shared) or _facet_separates(",
+           "if True or _facet_separates(",
+           ("tests/test_mesh.py::test_pair_the_certificate_cannot_decide_falls_back",)),
     Mutant("validation-planes-negated", "mesh_assembly.py",
            "planes.append([(grad, const) for grad, const, _ in",
            "planes.append([([-g for g in grad], -const) for grad, const, _ in",
@@ -215,6 +237,18 @@ CATALOGUE = (
            '(f"exact_at_{j}", ranks[j - 1] == nullities[j])',
            '(f"exact_at_{j}", ranks[j - 1] <= nullities[j])',
            ("tests/test_verify.py::test_exactness_certificate_fails_on_dropped_component",)),
+    Mutant("s-properties-ignores-the-degree", "complexes.py",
+           "ok = ok and degree_low and degree_high and inclusion",
+           "ok = ok and inclusion",
+           ("tests/test_verify.py::test_S_properties_certificate_fails_on_a_degree_below_P",)),
+    Mutant("s-properties-ignores-the-inclusion", "complexes.py",
+           "degree_high and inclusion and trace_ok",
+           "degree_high and trace_ok",
+           ("tests/test_verify.py::test_S_properties_certificate_fails_when_S_r_leaves_S_r_plus_1",)),
+    Mutant("s-properties-ignores-the-top-forms", "complexes.py",
+           "ok = ok and sdeg_match and top_match",
+           "ok = ok and sdeg_match",
+           ("tests/test_verify.py::test_S_properties_certificate_fails_when_top_forms_are_not_P_r",)),
     Mutant("s-properties-ignores-the-sdeg-description", "complexes.py",
            "    ok = ok and sdeg_match and top_match\n",
            "    ok = ok and top_match\n",
@@ -249,6 +283,10 @@ CATALOGUE = (
            "pool.map(_run_section, range(len(SECTIONS) - 1))",
            ("tests/test_verify.py::test_full_suite_joins_the_workers_sections_in_report_order",
             "tests/test_verify.py::test_verify_all_reports_match_recorded_digests")),
+    Mutant("suite-forks-where-fork-is-missing", "verify.py",
+           'if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():',
+           "if workers == 1:",
+           ("tests/test_verify.py::test_full_suite_runs_in_process_without_fork_or_a_second_cpu",)),
     Mutant("suite-imports-the-pool-with-the-module", "verify.py",
            "import os\nimport sys\n",
            "import multiprocessing\nimport os\nimport sys\n",

@@ -441,8 +441,6 @@ def test_reordered_duplicate_element_is_nonconforming():
 
 
 def test_pair_the_certificate_cannot_decide_falls_back(monkeypatch):
-    # one shared vertex and collinear edges: each facet line through the
-    # shared vertex also holds an unshared vertex of the other triangle
     enumerated = []
     enumerate_vertices = ma._intersection_vertices
 
@@ -451,8 +449,17 @@ def test_pair_the_certificate_cannot_decide_falls_back(monkeypatch):
         return enumerate_vertices(planes)
 
     monkeypatch.setattr(ma, "_intersection_vertices", counting)
+    # one shared vertex and collinear edges: the facet line y = 0 of the
+    # first triangle also holds (-1, 0), and its line x = 0 decides the rest
     ma.Mesh("simplicial", 2, [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
             [(0, 1, 2), (0, 3, 4)])
+    assert enumerated == []
+    # a half edge: the triangles meet in [(0, 0), (1, 0)], half of an edge of
+    # the first; the line y = 0 of each holds an unshared vertex of the other,
+    # and no line through the shared vertex alone separates them
+    with pytest.raises(ma.NonconformingMeshError, match="elements 0 and 1 meet"):
+        ma.Mesh("simplicial", 2, [(0, 0), (2, 0), (0, 2), (1, 0), (0, -1)],
+                [(0, 1, 2), (0, 3, 4)])
     assert enumerated == [6]
 
 
@@ -479,6 +486,19 @@ def test_validation_checks_near_linearly_many_pairs(monkeypatch):
     assert len(enumerated) <= swept[0]
 
 
+def test_3d_kuhn_grid_validates_without_enumeration(monkeypatch):
+    """The recursive facet certificate decides every meeting pair of a
+    4 x 4 x 4 Kuhn grid: 384 tetrahedra, 2,694 pairs that the single-plane
+    certificate left to the enumeration."""
+    enumerated = []
+    enumerate_vertices = ma._intersection_vertices
+    monkeypatch.setattr(ma, "_intersection_vertices",
+                        lambda planes: enumerated.append(1) or enumerate_vertices(planes))
+    vertices, elements = kuhn_grid(3, 4, random.Random(4))
+    ma.Mesh("simplicial", 3, vertices, elements)
+    assert len(elements) == 384 and enumerated == []
+
+
 def test_element_factors_are_shared_by_local_pattern():
     vertices, elements = kuhn_grid(2, 3, random.Random(5))
     mesh = ma.Mesh("simplicial", 2, vertices, elements)
@@ -496,7 +516,7 @@ def test_element_factors_are_shared_by_local_pattern():
     patterns = {tuple((form_to_string(dof.weight), psi.matrix, psi.offset)
                       for dof, psi in local)
                 for local in space.element_dofs}
-    assert len(space._lu) == len(patterns) < len(elements)
+    assert len(space._nodal) == len(patterns) < len(elements)
 
 
 # -- the two maps, the assembled complex, freeing without the cyclic GC ----------
@@ -544,17 +564,59 @@ def test_scaled_moments_and_solves_match_the_one_weight_path(family, r, k):
                                     PolyForm.zero(2, k))
 
 
+def random_pieces(space, n_elements, degree, rng):
+    """A piecewise form, discontinuous across faces: on each element a
+    different combination of the monomial forms up to `degree`."""
+    forms = monomial_forms(space.spec.n, space.spec.k, degree)
+    return {ei: sum((Fraction(rng.randint(-9, 9), rng.randint(1, 7)) * u
+                     for u in rng.sample(forms, 5)), PolyForm.zero(space.spec.n, space.spec.k))
+            for ei in range(n_elements)}
+
+
+@pytest.mark.parametrize("kind, m, family, r, k", [
+    ("simplicial", 3, "Pminus", 2, 1), ("simplicial", 2, "P", 2, 0),
+    ("cubical", 3, "Qminus", 2, 1), ("cubical", 2, "S", 2, 1)])
+def test_dof_values_of_discontinuous_pieces_read_the_first_adjacent_element(kind, m, family,
+                                                                              r, k):
+    """One `FaceMoments` call per DOF, on the trace from the face's first
+    adjacent element, is the oracle; the tables grow across calls."""
+    rng = random.Random(m + 7 * r)
+    mesh = (ma.Mesh("simplicial", 2, *kuhn_grid(2, m, rng)) if kind == "simplicial"
+            else ma.box_grid((m, m)))
+    space = ma.assemble(mesh, family, r, k)
+    moments = FaceMoments(mesh.element_kind)
+    for degree in (r, r + 2):
+        pieces = random_pieces(space, len(mesh.elements), degree, rng)
+        first = [moments(pullback(pieces[dof.face.adjacent[0][0]], dof.face.adjacent[0][1]),
+                         dof.weight) for dof in space.dofs]
+        last = [moments(pullback(pieces[dof.face.adjacent[-1][0]], dof.face.adjacent[-1][1]),
+                        dof.weight) for dof in space.dofs]
+        assert first != last  # the pieces do not agree across faces
+        assert space.dof_values(pieces) == first
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 0), (3, 1)])
+def test_dof_values_refuse_a_piece_of_the_wrong_shape(n, k):
+    space = ma.assemble(ma.two_triangle_square(), "Pminus", 2, 1)
+    pieces = {0: PolyForm.monomial(2, (1, 0), (1,)),
+              1: PolyForm.monomial(n, (0,) * n, tuple(range(1, k + 1)))}
+    with pytest.raises(ValueError, match="element 1 holds"):
+        space.dof_values(pieces)
+    with pytest.raises(ValueError, match="element 1 holds"):
+        space.project(pieces)
+
+
 def test_a_unit_vector_solves_only_next_to_its_face(monkeypatch):
     vertices, elements = kuhn_grid(2, 3, random.Random(3))
     space = ma.assemble(ma.Mesh("simplicial", 2, vertices, elements), "Pminus", 2, 1)
-    solve = ma.linalg.LUFactor.solve
+    nodal_basis = ma.GlobalSpace._nodal_basis
     for index in (0, len(space.dofs) // 2, len(space.dofs) - 1):
-        solved = []
-        monkeypatch.setattr(ma.linalg.LUFactor, "solve",
-                            lambda self, b: solved.append(b) or solve(self, b))
+        combined = []
+        monkeypatch.setattr(ma.GlobalSpace, "_nodal_basis",
+                            lambda self, ei: combined.append(ei) or nodal_basis(self, ei))
         member = unit_member(space, index)
         adjacent = {ei for ei, _ in space.dofs[index].face.adjacent}
-        assert len(solved) == len(adjacent)
+        assert sorted(combined) == sorted(adjacent)
         assert {ei for ei, piece in member.items() if not piece.is_zero} == adjacent
 
 

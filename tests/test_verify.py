@@ -253,6 +253,45 @@ def test_S_properties_certificate_fails_on_a_wrong_superlinear_degree(monkeypatc
                for e in cert.witness["per_k"])
 
 
+def test_S_properties_certificate_fails_on_a_degree_below_P(monkeypatch):
+    assert complexes.check_S_properties(2, 2).passed
+    # P_(r+1) in place of P_r below the top: S_r no longer holds it
+    basis_P = spaces.basis_P
+    monkeypatch.setattr(complexes, "basis_P", lambda r, k, n: basis_P(r + (k < n), k, n))
+    cert = complexes.check_S_properties(2, 2)
+    assert cert.verdict == "fail"
+    assert [e["degree"] for e in cert.witness["per_k"]] == [False, False, True]
+    assert cert.witness["sdeg_characterizes_0forms"] and cert.witness["top_forms_equal_P"]
+    assert all(e["inclusion"] and e["trace"] and e["subcomplex"] is not False
+               for e in cert.witness["per_k"])
+
+
+def test_S_properties_certificate_fails_when_S_r_leaves_S_r_plus_1(monkeypatch):
+    assert complexes.check_S_properties(2, 2).passed
+    # S_1 in place of S_3: the inclusion S_2 in S_3 fails, the rest holds
+    basis_S = spaces.basis_S
+    monkeypatch.setattr(complexes, "basis_S", lambda r, k, n: basis_S(1 if r == 3 else r, k, n))
+    cert = complexes.check_S_properties(2, 2)
+    assert cert.verdict == "fail"
+    assert [e["inclusion"] for e in cert.witness["per_k"]] == [False, False, False]
+    assert cert.witness["sdeg_characterizes_0forms"] and cert.witness["top_forms_equal_P"]
+    assert all(e["degree"] and e["trace"] and e["subcomplex"] is not False
+               for e in cert.witness["per_k"])
+
+
+def test_S_properties_certificate_fails_when_top_forms_are_not_P_r(monkeypatch):
+    assert complexes.check_S_properties(2, 2).passed
+    # P_(r-1) in place of P_r at the top: it still lies in S_r, but spans less
+    basis_P = spaces.basis_P
+    monkeypatch.setattr(complexes, "basis_P", lambda r, k, n: basis_P(r - (k == n), k, n))
+    cert = complexes.check_S_properties(2, 2)
+    assert cert.verdict == "fail"
+    assert not cert.witness["top_forms_equal_P"]
+    assert cert.witness["sdeg_characterizes_0forms"]
+    assert all(e["degree"] and e["inclusion"] and e["trace"] and e["subcomplex"] is not False
+               for e in cert.witness["per_k"])
+
+
 def test_commuting_certificate_fails_on_wrong_chain_drop(monkeypatch):
     monkeypatch.setattr(verify, "COMMUTING_CASES", (("two_triangle_square", "Pminus", 2),))
     assert all(c.passed for c in verify._commuting_certificates())
@@ -383,6 +422,26 @@ def test_full_suite_joins_the_workers_sections_in_report_order():
     parallel = certificates_to_jsonl(verify.full_suite())
     assert not multiprocessing.active_children()
     assert parallel == certificates_to_jsonl(serial_suite())
+
+
+@pytest.mark.parametrize("platform", ["no fork", "cpu count unknown", "one cpu"])
+def test_full_suite_runs_in_process_without_fork_or_a_second_cpu(monkeypatch, tmp_path,
+                                                                   platform):
+    import concurrent.futures
+
+    if platform == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: None if platform == "cpu count unknown" else 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the suite started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run(["verify-all", "--out", str(tmp_path)]) == 0
+    for name, want in REPORT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    assert not multiprocessing.active_children()
 
 
 def only_section(monkeypatch, section):
