@@ -28,6 +28,7 @@ from math import lcm
 from operator import mul
 
 from feforms import linalg, spaces
+from feforms.complexes import Certificate
 from feforms.forms import (
     AffineEmbedding,
     FaceMoments,
@@ -370,8 +371,7 @@ class GlobalSpace:
         self.basis = spaces.basis_for(self.spec)
         self._basis_den = lcm(*[c.denominator for b in self.basis.forms
                                 for c in b.terms.values()])
-        int_basis = [(b * self._basis_den).terms for b in self.basis.forms]
-        self._groups = monomial_groups(int_basis)
+        int_basis = self._int_basis = [(b * self._basis_den).terms for b in self.basis.forms]
         self._basis_columns = [(mon, [b.get(mon, 0) for b in int_basis])
                                for mon in dict.fromkeys(m for b in int_basis for m in b)]
         self.dofs: list[GlobalDof] = []
@@ -388,13 +388,15 @@ class GlobalSpace:
                 raise MeshError(
                     f"{family} r={r} k={k} is not unisolvent: element {ei} carries "
                     f"{len(local)} DOFs for a space of dimension {self.basis.dim}")
-        # an element's local pattern: its weights through its face charts, in order;
-        # the weights come from the cached `weight_basis`, so their ids name them
-        self._patterns = [tuple((id(dof.weight), psi.matrix, psi.offset) for dof, psi in local)
-                          for local in self.element_dofs]
-        self._nodal: dict[tuple, tuple[list, int]] = {}
+        # an element's local pattern, numbered by first appearance: its weights (cached
+        # by `weight_basis`, so their ids name them) through its face charts, in order
+        keys: dict = {}
+        self._patterns = [keys.setdefault(
+            tuple((id(dof.weight), psi.matrix, psi.offset) for dof, psi in local), len(keys))
+            for local in self.element_dofs]
+        self._rows: dict[int, list] = {}
+        self._nodal: dict[int, tuple[list, int]] = {}
         self._tables: dict[tuple, list] = {}
-        self._traces: dict[tuple, dict] = {}
         self._moments = FaceMoments(mesh.element_kind)
 
     @property
@@ -419,19 +421,20 @@ class GlobalSpace:
                 scaled[ei] = {key: c.numerator * (den // c.denominator)
                               for key, c in piece.terms.items()}, den
             nums, den = scaled[ei]
-            for scale, table in self._moment_tables(psi, [dof.weight for dof in group], nums):
-                out.append(exact(Fraction(sum([c * table[key] for key, c in nums.items()]),
-                                          den * scale)))
+            for [value], scale in self._face_values(psi, [dof.weight for dof in group], [nums]):
+                out.append(exact(Fraction(value, den * scale)))
         return out
 
-    def _moment_tables(self, psi: AffineEmbedding, weights, monomials) -> list[list]:
-        """Per weight q, [scale, table]: table[(sigma, alpha)] / scale is the
-        moment against q of the trace of x^alpha dx^sigma through psi.  Kept
-        per (chart value, weight); unseen monomials are traced by
-        `face_traces`, applied by `FaceMoments.rows` and rescaled together."""
+    def _face_values(self, psi: AffineEmbedding, weights, columns) -> list[tuple[list, int]]:
+        """Per weight q, (values, scale): values[j] / scale is the moment against
+        q of the trace through psi of integer column j, {(sigma, alpha): int}.
+        Read from one table per (chart value, weight) on one integer scale;
+        unseen monomials are traced by `face_traces`, applied by
+        `FaceMoments.rows` and rescaled together."""
         tables = [self._tables.setdefault((psi.matrix, psi.offset, id(q)), [1, {}])
                   for q in weights]
-        if new := [key for key in monomials if key not in tables[0][1]]:
+        seen = tables[0][1]
+        if new := list(dict.fromkeys(key for col in columns for key in col if key not in seen)):
             index = face_traces(monomial_groups([{key: 1} for key in new]), psi)
             got = self._moments.rows(index, weights, len(new))
             for held, (row, scale) in zip(tables, got):
@@ -439,34 +442,34 @@ class GlobalSpace:
                 held[1] = {key: v * (common // held[0]) for key, v in held[1].items()}
                 held[1].update(zip(new, [v * (common // scale) for v in row]))
                 held[0] = common
-        return tables
+        return [([sum([c * table[key] for key, c in col.items()]) for col in columns], scale)
+                for scale, table in tables]
 
-    def _face_rows(self, face_dofs, psi: AffineEmbedding) -> list[list]:
-        """The DOFs of one face applied through the face chart psi to every
-        basis form, one exact row each, by `FaceMoments.rows`.  The traces
-        of the integer basis are cached by chart value: the element matrices
-        and `assembled_dimension_by_rank` share them, and so do the
-        elements with the same local face orientation."""
-        key = (psi.matrix, psi.offset)
-        index = self._traces.get(key)
-        if index is None:
-            index = self._traces[key] = face_traces(self._groups, psi)
-        got = self._moments.rows(index, [dof.weight for dof in face_dofs], self.basis.dim)
-        return [[exact(Fraction(v, scale * self._basis_den)) for v in row] for row, scale in got]
+    def _element_rows(self, ei: int) -> list[tuple[list, int]]:
+        """The element's local DOFs applied to the integer basis, as (row,
+        scale): row[j] / scale is the DOF's value on basis form j.  Kept per
+        local pattern; nothing is factored, so a singular pattern has rows."""
+        key = self._patterns[ei]
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = []
+            for (_, psi), group in groupby(self.element_dofs[ei],
+                                           key=lambda pair: (pair[0].face, pair[1])):
+                got = self._face_values(psi, [dof.weight for dof, _ in group], self._int_basis)
+                rows += [(row, scale * self._basis_den) for row, scale in got]
+        return rows
 
     def _nodal_basis(self, ei: int) -> tuple[list, int]:
         """The integer basis dual to the element's local DOFs over one
-        denominator, shared by local pattern: one factored DOF matrix solved
-        for each unit vector, held as (basis monomial, its coefficients)."""
+        denominator, kept per local pattern: the factored element rows solved
+        for each scaled unit vector, held as (basis monomial, coefficients)."""
         key = self._patterns[ei]
         got = self._nodal.get(key)
         if got is None:
-            rows = []
-            for (_, psi), group in groupby(self.element_dofs[ei],
-                                           key=lambda pair: (pair[0].face, pair[1])):
-                rows += self._face_rows([dof for dof, _ in group], psi)
-            lu = linalg.LUFactor(rows)
-            solved = [lu.solve([int(i == j) for i in range(lu.n)]) for j in range(lu.n)]
+            rows = self._element_rows(ei)
+            lu = linalg.LUFactor([row for row, _ in rows])
+            solved = [lu.solve([scale * (i == j) for i, (_, scale) in enumerate(rows)])
+                      for j in range(lu.n)]
             den = lcm(*[s for _, s in solved])
             solved = [[c * (den // s) for c in t] for t, s in solved]
             got = self._nodal[key] = ([
@@ -521,29 +524,22 @@ def face_sum_dimension(mesh: Mesh, family: str, r: int, k: int) -> int:
 def assembled_dimension_by_rank(space: GlobalSpace) -> int:
     """Dimension of the matching-constraint solution space, computed by rank.
 
-    Variables are per-element basis coefficients; each shared-face DOF
-    ties its adjacent elements by the rows of `_face_rows`, y_e0 = y_ei.
-    Each element's local rows through its charts are independent, so the
-    rank of each star of rows y_e0 - c * y_ei does not depend on c != 0:
-    the count checks local independence and the face sum formula, not
-    orientation, which `continuity_check` and the commuting certificates
-    check.
+    Variables are per-element basis coefficients; each shared DOF ties the
+    first element that holds it to every other one by their cached element
+    rows, y_e0 = y_ei.  Each element's local rows through its charts are
+    independent, so the rank of each star of rows y_e0 - c * y_ei does not
+    depend on c != 0: the count checks local independence and the face sum
+    formula, not orientation, which `continuity_check` and the commuting
+    certificates check.
     """
-    nel = len(space.element_dofs)
-    dimv = space.basis.dim
-    ech = linalg.Echelon()
-    for face, group in groupby(space.dofs, key=lambda dof: dof.face):
-        adj = face.adjacent
-        if len(adj) < 2:
-            continue
-        face_dofs = list(group)
-        e0, psi0 = adj[0]
-        base = space._face_rows(face_dofs, psi0)
-        for ei, psi in adj[1:]:
-            for row0, row in zip(base, space._face_rows(face_dofs, psi)):
-                ech.add({**{(e0, j): v for j, v in enumerate(row0) if v},
-                         **{(ei, j): -v for j, v in enumerate(row) if v}})
-    return nel * dimv - ech.rank
+    first, ech = {}, linalg.Echelon()
+    for ei, local in enumerate(space.element_dofs):
+        for (dof, _), (row, scale) in zip(local, space._element_rows(ei)):
+            e0, row0, scale0 = first.setdefault(dof.index, (ei, row, scale))
+            if e0 != ei:
+                ech.add({**{(e0, j): v * scale for j, v in enumerate(row0) if v},
+                         **{(ei, j): -v * scale0 for j, v in enumerate(row) if v}})
+    return len(space.element_dofs) * space.basis.dim - ech.rank
 
 
 def continuity_check(space: GlobalSpace, pieces: dict) -> bool:
@@ -567,14 +563,12 @@ def pieces_to_json_dict(pieces: dict) -> dict:
     return {str(e): form_to_string(p) for e, p in sorted(pieces.items())}
 
 
-def check_commuting(mesh: Mesh, family: str, r: int, u) -> "Certificate":
+def check_commuting(mesh: Mesh, family: str, r: int, u) -> Certificate:
     """d(projection at level k) equals projection at level k+1 of du.
 
     `r` is the polynomial degree at the level of u; the next level comes
     from `spaces.next_level` and must carry DOFs (r >= 1).
     """
-    from feforms.complexes import Certificate
-
     k = u.k if isinstance(u, PolyForm) else next(iter(u.values())).k
     following = spaces.next_level(spaces.SpaceSpec(family, mesh.n, r, k))
     if following is None or following.r < 1:

@@ -2,8 +2,8 @@
 
 Ranges: simplicial families n <= 3 (dimension spot checks at n = 4) and
 r <= 4; box families n <= 3, r <= 3; dimension tables n <= 4, r <= 6;
-homogeneous-form identities n <= 4, r <= 5; commuting projections and
-assembly identities on the bundled sample meshes.
+homotopy on homogeneous forms n <= 4, r <= 5, direct sums n <= 3, r <= 4;
+commuting projections and assembly identities on the bundled sample meshes.
 """
 
 from __future__ import annotations

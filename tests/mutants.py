@@ -201,13 +201,23 @@ CATALOGUE = (
            ("tests/test_mesh.py::test_integer_validation_agrees_with_the_oracle_on_thirds_and_sevenths",
             "tests/test_mesh.py::test_moved_vertex_breaks_conformity")),
     Mutant("constraint-rows-skip-faces-of-two-elements", "mesh_assembly.py",
-           "        if len(adj) < 2:\n            continue\n        face_dofs",
-           "        if len(adj) < 3:\n            continue\n        face_dofs",
+           "            if e0 != ei:\n",
+           "            if e0 != ei and len(dof.face.adjacent) > 2:\n",
            ("tests/test_mesh.py::test_assemble_face_sum_and_rank_agree",)),
-    Mutant("face-rows-cache-keyed-on-the-matrix-alone", "mesh_assembly.py",
-           "        key = (psi.matrix, psi.offset)\n",
-           "        key = psi.matrix\n",
-           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",)),
+    Mutant("constraint-rows-forget-a-dof-once-tied", "mesh_assembly.py",
+           "first.setdefault(dof.index, (ei, row, scale))",
+           "first.pop(dof.index, None) or first.setdefault(dof.index, (ei, row, scale))",
+           ("tests/test_mesh.py::test_assemble_face_sum_and_rank_agree",)),
+    Mutant("face-values-collect-monomials-of-the-first-column", "mesh_assembly.py",
+           "for col in columns for key in col if key not in seen",
+           "for col in columns[:1] for key in col if key not in seen",
+           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",
+            "tests/test_mesh.py::test_element_factors_are_shared_by_local_pattern")),
+    Mutant("nodal-solves-ignore-the-row-scales", "mesh_assembly.py",
+           "lu.solve([scale * (i == j) for i, (_, scale) in enumerate(rows)])",
+           "lu.solve([int(i == j) for i, (_, scale) in enumerate(rows)])",
+           ("tests/test_mesh.py::test_scaled_moments_and_solves_match_the_one_weight_path",
+            "tests/test_mesh.py::test_element_factors_are_shared_by_local_pattern")),
     Mutant("conformity-needs-every-outside-plane", "mesh_assembly.py",
            "if any(_plane_value(plane, pt, s) for plane in outside):",
            "if all(_plane_value(plane, pt, s) for plane in outside):",

@@ -3,7 +3,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -25,12 +25,9 @@ from feforms.dofs import reference_faces
 from oracles import conformity_verdict, integer_simplices, mesh_faces, pair_conforms
 
 
-def element_rows(space, local):
-    """The DOF rows of one element, face by face, from `_face_rows`."""
-    rows = []
-    for (_, psi), group in groupby(local, key=lambda pair: (pair[0].face, pair[1])):
-        rows += space._face_rows([dof for dof, _ in group], psi)
-    return rows
+def element_rows(space, ei):
+    """The exact DOF rows of element ei, from its pattern's integer rows."""
+    return [[Fraction(v, scale) for v in row] for row, scale in space._element_rows(ei)]
 
 
 def unit_member(space, index):
@@ -507,7 +504,7 @@ def test_element_factors_are_shared_by_local_pattern():
     projected = space.project(u)
     values = space.dof_values(space.as_pieces(u))
     for ei, local in enumerate(space.element_dofs):
-        fresh = ma.linalg.LUFactor(element_rows(space, local))
+        fresh = ma.linalg.LUFactor(element_rows(space, ei))
         t, s = fresh.solve([values[dof.index] for dof, _ in local])
         piece = PolyForm.zero(2, 1)
         for c, b in zip(t, space.basis.forms):
@@ -517,6 +514,24 @@ def test_element_factors_are_shared_by_local_pattern():
                       for dof, psi in local)
                 for local in space.element_dofs}
     assert len(space._nodal) == len(patterns) < len(elements)
+
+
+def test_rank_count_after_a_projection_reads_the_cached_element_rows(monkeypatch):
+    """The projection fills the element rows, one entry per local pattern;
+    `assembled_dimension_by_rank` then traces and integrates nothing."""
+    vertices, elements = kuhn_grid(2, 3, random.Random(5))
+    space = ma.assemble(ma.Mesh("simplicial", 2, vertices, elements), "Pminus", 2, 1)
+    calls = []
+    rows, traces = FaceMoments.rows, ma.face_traces
+    monkeypatch.setattr(FaceMoments, "rows",
+                        lambda self, *args: calls.append("rows") or rows(self, *args))
+    monkeypatch.setattr(ma, "face_traces", lambda *args: calls.append("traces") or traces(*args))
+    space.project(form_from_string("1 x1^2 x2 dx1 + 3 x2^3 dx2", 2, 1))
+    assert {"rows", "traces"} <= set(calls)
+    calls.clear()
+    assert ma.assembled_dimension_by_rank(space) == space.dimension
+    assert calls == []
+    assert len(space._rows) == len(set(space._patterns)) < len(elements)
 
 
 # -- the two maps, the assembled complex, freeing without the cyclic GC ----------
@@ -558,7 +573,7 @@ def test_scaled_moments_and_solves_match_the_one_weight_path(family, r, k):
     for ei, local in enumerate(space.element_dofs):
         rows = [[moments(pullback(b, psi), dof.weight) for b in space.basis.forms]
                 for dof, psi in local]
-        assert element_rows(space, local) == rows
+        assert element_rows(space, ei) == rows
         coeffs = linalg.solve(rows, [values[dof.index] for dof, _ in local])
         assert projected[ei] == sum((c * b for c, b in zip(coeffs, space.basis.forms)),
                                     PolyForm.zero(2, k))
